@@ -765,9 +765,6 @@ class AffineWeylCoset:
     perm: Tuple[int, ...]
     exps: Tuple[int, ...]
 
-    def finite_part(self, system: CoxeterSystem) -> WeylElement:
-        return weyl_from_permutation(system, self.perm)
-
     def is_translation(self) -> bool:
         return self.perm == tuple(range(len(self.perm)))
 

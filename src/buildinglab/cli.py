@@ -192,6 +192,14 @@ PRESETS: Dict[str, Dict[str, Any]] = {
     },
 }
 
+KIND_OF_SUBCOMMAND = {
+    "coxeter": "coxeter-oracle",
+    "decomp": "decompositions",
+    "dynamics": "dynamics",
+    "transit": "transit",
+    "chabauty": "chabauty",
+}
+
 DEFAULT_PRESET = {
     "coxeter": "coxeter-oracle",
     "decomp": "decompositions",
@@ -212,13 +220,16 @@ def _context(cfg: ExperimentConfig) -> GroupContext:
 
 def _run_coxeter(cfg: ExperimentConfig, rng: random.Random):
     names = cfg.params.get("types", ["A2", "B2"])
+    if (not isinstance(names, list) or not names
+            or not all(isinstance(n, str) and n in coxeter.CARTAN
+                       for n in names)):
+        raise ConfigError(
+            "config field 'types': expected a non-empty list of system "
+            "names from %s, got %r" % (", ".join(sorted(coxeter.CARTAN)), names))
     out = {"types": {}}
     failures: List[str] = []
     for name in names:
-        try:
-            system = coxeter.get_system(name)
-        except ValueError as exc:
-            raise ConfigError("config field 'types': %s" % exc)
+        system = coxeter.get_system(name)
         elements = system.elements()
         subsets = [frozenset(s) for s in _subsets(range(system.rank))]
         par = {I: system.parabolic(I) for I in subsets}
@@ -637,9 +648,7 @@ def _load_config(args) -> ExperimentConfig:
     else:
         data = dict(PRESETS[DEFAULT_PRESET[args.command]])
     cfg = parse_config(data)
-    wanted = {"coxeter": "coxeter-oracle", "decomp": "decompositions",
-              "dynamics": "dynamics", "transit": "transit",
-              "chabauty": "chabauty"}[args.command]
+    wanted = KIND_OF_SUBCOMMAND[args.command]
     if cfg.kind != wanted:
         raise ConfigError("subcommand %r needs a config of kind %r, got %r"
                           % (args.command, wanted, cfg.kind))

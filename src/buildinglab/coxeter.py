@@ -2,9 +2,13 @@
 
 Finite crystallographic systems are given by their Cartan matrices and
 realised on root-space coordinates: a group element is the integer matrix
-of its action on the simple-root basis.  Words, lengths, descents and the
-ShortLex normal form are all derived from that faithful representation,
-so two elements are equal exactly when their matrices agree.
+of its action on the simple-root basis.  Each system enumerates its group
+once from that faithful representation and numbers the elements in
+ShortLex order of their reduced words; an element is a handle carrying
+that index.  Products, inverses, left and right descents and inversion
+sets are then table lookups, built from the matrices of the generator
+products the enumeration makes, so two elements are equal exactly when
+their matrices agree.
 
 Generators are 0-indexed throughout.  For the linear types A_r this means
 s_i corresponds to the adjacent transposition of positions i and i+1.
@@ -52,41 +56,6 @@ def _mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(sum(m[i][j] * v[j] for j in range(r)) for i in range(r))
 
 
-def _mat_inv(m: Mat) -> Mat:
-    """Inverse of a small integer matrix of determinant +-1."""
-    r = len(m)
-    if r == 1:
-        d = m[0][0]
-        adj: Mat = ((1,),)
-    elif r == 2:
-        (a, b), (c, dd) = m
-        d = a * dd - b * c
-        adj = ((dd, -b), (-c, a))
-    elif r == 3:
-        d = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        # cyclic-index cofactors: the usual (-1)**(i+j) sign is built in
-        cof = [
-            [
-                m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-                - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        adj = tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
-    else:
-        raise ValueError(f"rank {r} not supported")
-    if d not in (1, -1):
-        raise ValueError("matrix is not in the Weyl group representation")
-    if d == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)
-
-
 def _is_negative(v: Vec) -> bool:
     return all(x <= 0 for x in v) and any(x < 0 for x in v)
 
@@ -99,12 +68,19 @@ def positive_form(v: Vec) -> Vec:
 
 
 class WeylElement:
-    """One element of a finite Weyl group, identified by its root action."""
+    """One element of a finite Weyl group: a handle on its system's tables.
 
-    __slots__ = ("system", "mat", "inv_mat", "word")
+    ``index`` is the element's position in the ShortLex order of its
+    system; ``mat`` is its action on the simple-root basis.
+    """
 
-    def __init__(self, system: "CoxeterSystem", mat: Mat, inv_mat: Mat, word: Tuple[int, ...]):
+    __slots__ = ("system", "index", "mat", "inv_mat", "word")
+
+    def __init__(
+        self, system: "CoxeterSystem", index: int, mat: Mat, inv_mat: Mat, word: Tuple[int, ...]
+    ):
         self.system = system
+        self.index = index
         self.mat = mat
         self.inv_mat = inv_mat
         self.word = word  # ShortLex-minimal reduced word
@@ -114,12 +90,13 @@ class WeylElement:
         return len(self.word)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.system is not other.system:
+        system = self.system
+        if system is not other.system:
             raise ValueError("elements of different systems")
-        return self.system.from_matrix(_mat_mul(self.mat, other.mat))
+        return system._products[self.index][other.index]
 
     def inverse(self) -> "WeylElement":
-        return self.system.from_matrix(self.inv_mat)
+        return self.system._inverses[self.index]
 
     def apply_root(self, beta: Vec) -> Vec:
         return _mat_vec(self.mat, beta)
@@ -133,16 +110,10 @@ class WeylElement:
         return out
 
     def left_descents(self) -> FrozenSet[int]:
-        sys = self.system
-        return frozenset(
-            i for i in range(sys.rank) if _is_negative(_mat_vec(self.inv_mat, sys.alpha(i)))
-        )
+        return self.system._left_descents[self.index]
 
     def right_descents(self) -> FrozenSet[int]:
-        sys = self.system
-        return frozenset(
-            i for i in range(sys.rank) if _is_negative(_mat_vec(self.mat, sys.alpha(i)))
-        )
+        return self.system._right_descents[self.index]
 
     def is_identity(self) -> bool:
         return not self.word
@@ -150,10 +121,10 @@ class WeylElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.system is other.system and self.mat == other.mat
+        return self.system is other.system and self.index == other.index
 
     def __hash__(self):
-        return hash((id(self.system), self.mat))
+        return self.index
 
     def __repr__(self) -> str:
         if not self.word:
@@ -162,7 +133,7 @@ class WeylElement:
 
 
 class CoxeterSystem:
-    """A finite crystallographic Coxeter system with cached enumeration."""
+    """A finite crystallographic Coxeter system with precomputed tables."""
 
     def __init__(self, name: str):
         if name not in CARTAN:
@@ -183,10 +154,67 @@ class CoxeterSystem:
                         )
                     )
             self._simple_mats.append(tuple(rows))
-        self._cache: Dict[Mat, WeylElement] = {}
-        self._elements: List[WeylElement] | None = None
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Enumerate the group in ShortLex order and fill the lookup tables.
+
+        A breadth-first search multiplies each element, in order of
+        discovery, on the right by s_0, ..., s_{r-1}.  The ShortLex word of
+        x is the least of word(x s) + (s,) over the right descents s of x,
+        compared first on word(x s); the search reaches x first along that
+        pair, so discovery order is ShortLex order.  These rank * |W|
+        products are the only matrix arithmetic; every other table is
+        folded from the right-generator table along the words.
+        """
         ident = _identity_mat(self.rank)
-        self._cache[ident] = WeylElement(self, ident, ident, ())
+        mats = [ident]
+        words: List[Tuple[int, ...]] = [()]
+        parent = [0]
+        index = {ident: 0}
+        right: List[List[int]] = []  # right[w][i] is the index of w * s_i
+        for w, m in enumerate(mats):  # mats grows as the search discovers
+            row = []
+            for i, s in enumerate(self._simple_mats):
+                m2 = _mat_mul(m, s)
+                k = index.get(m2)
+                if k is None:
+                    k = index[m2] = len(mats)
+                    mats.append(m2)
+                    words.append(words[w] + (i,))
+                    parent.append(w)
+                row.append(k)
+            right.append(row)
+        n = len(mats)
+        # a * b = (a * parent(b)) * s_last(b), and parent(b) precedes b
+        products = []
+        for a in range(n):
+            row = [a]
+            for b in range(1, n):
+                row.append(right[row[parent[b]]][words[b][-1]])
+            products.append(row)
+        inverses = [row.index(0) for row in products]
+        right_descents = [
+            frozenset(i for i, k in enumerate(right[w]) if len(words[k]) < len(words[w]))
+            for w in range(n)
+        ]
+        # N(w s) = N(w) + {w alpha_s} when l(w s) > l(w); w alpha_s is column s of w
+        inversions = [frozenset()]
+        for b in range(1, n):
+            s = words[b][-1]
+            inversions.append(
+                inversions[parent[b]] | {tuple(r[s] for r in mats[parent[b]])}
+            )
+
+        els = [WeylElement(self, k, mats[k], mats[inverses[k]], words[k]) for k in range(n)]
+        self._elements = els
+        self._index = index
+        self._right = right
+        self._products = [[els[k] for k in row] for row in products]
+        self._inverses = [els[k] for k in inverses]
+        self._right_descents = right_descents
+        self._left_descents = [right_descents[k] for k in inverses]
+        self._inversion_sets = inversions
 
     # -- element construction -------------------------------------------
 
@@ -195,66 +223,38 @@ class CoxeterSystem:
 
     @property
     def identity(self) -> WeylElement:
-        return self._cache[_identity_mat(self.rank)]
+        return self._elements[0]
 
     def simple(self, i: int) -> WeylElement:
-        return self.from_matrix(self._simple_mats[i])
+        return self._elements[self._right[0][i]]
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
-        m = _identity_mat(self.rank)
+        k = 0
         for i in word:
-            m = _mat_mul(m, self._simple_mats[i])
-        return self.from_matrix(m)
+            k = self._right[k][i]
+        return self._elements[k]
 
-    def from_matrix(self, mat: Mat) -> WeylElement:
-        el = self._cache.get(mat)
-        if el is not None:
-            return el
-        inv = _mat_inv(mat)
-        # greedy smallest-left-descent stripping yields the ShortLex word
-        word: List[int] = []
-        m, mi = mat, inv
-        while m != _identity_mat(self.rank):
-            for i in range(self.rank):
-                if _is_negative(_mat_vec(mi, self.alpha(i))):
-                    word.append(i)
-                    s = self._simple_mats[i]
-                    m = _mat_mul(s, m)
-                    mi = _mat_mul(mi, s)
-                    break
-            else:
-                raise ValueError("matrix is not a Weyl group element")
-        el = WeylElement(self, mat, inv, tuple(word))
-        self._cache[mat] = el
-        return el
+    def from_matrix(self, mat: Sequence[Sequence[int]]) -> WeylElement:
+        """The element acting by ``mat`` on the simple-root basis.
+
+        Raises ValueError when no element of this group does.
+        """
+        k = self._index.get(tuple(tuple(row) for row in mat))
+        if k is None:
+            raise ValueError(f"matrix is not an element of the Weyl group {self.name}")
+        return self._elements[k]
 
     # -- enumeration ------------------------------------------------------
 
     def elements(self) -> List[WeylElement]:
-        if self._elements is None:
-            seen = {_identity_mat(self.rank)}
-            frontier = [_identity_mat(self.rank)]
-            while frontier:
-                nxt = []
-                for m in frontier:
-                    for s in self._simple_mats:
-                        m2 = _mat_mul(m, s)
-                        if m2 not in seen:
-                            seen.add(m2)
-                            nxt.append(m2)
-                frontier = nxt
-            self._elements = sorted(
-                (self.from_matrix(m) for m in seen), key=lambda w: (w.length, w.word)
-            )
+        """Every element, in ShortLex order of the reduced words."""
         return self._elements
 
     def order(self) -> int:
-        return len(self.elements())
+        return len(self._elements)
 
     def longest_element(self) -> WeylElement:
-        w0 = max(self.elements(), key=lambda w: w.length)
-        assert all(i in w0.right_descents() for i in range(self.rank))
-        return w0
+        return self._elements[-1]
 
     def positive_roots(self) -> FrozenSet[Vec]:
         return self._roots()[0]
@@ -299,19 +299,9 @@ class CoxeterSystem:
     # -- cosets and parabolic subgroups -------------------------------------
 
     def parabolic(self, J: Iterable[int]) -> List[WeylElement]:
+        """W_J in ShortLex order: the elements whose reduced words use only J."""
         J = frozenset(J)
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for j in J:
-                    w2 = w * self.simple(j)
-                    if w2 not in seen:
-                        seen.add(w2)
-                        nxt.append(w2)
-            frontier = nxt
-        return sorted(seen, key=lambda w: (w.length, w.word))
+        return [w for w in self._elements if J.issuperset(w.word)]
 
     def min_coset_rep(self, w: WeylElement, J: Iterable[int]) -> WeylElement:
         """Minimal-length representative of the right coset w * W_J."""
@@ -377,13 +367,7 @@ class CoxeterSystem:
 
     def separating_walls(self, c: WeylElement, d: WeylElement) -> FrozenSet[Vec]:
         """Positive roots whose walls separate chambers c and d."""
-        v = c.inverse() * d
-        crossed = {
-            beta
-            for beta in self.positive_roots()
-            if _is_negative(_mat_vec(v.inv_mat, beta))
-        }
-        return frozenset(positive_form(c.apply_root(beta)) for beta in crossed)
+        return self._inversion_sets[c.index] ^ self._inversion_sets[d.index]
 
     def chamber_side(self, c: WeylElement, beta: Vec) -> int:
         """+1 / -1 depending on which half-space for the wall of beta holds c."""
@@ -411,10 +395,6 @@ def get_system(name: str) -> CoxeterSystem:
 def translation_type(v: Sequence[int]) -> FrozenSet[int]:
     """Generators fixing the translation: indices where the pairing vanishes."""
     return frozenset(i for i, x in enumerate(v) if x == 0)
-
-
-def is_regular_for(v: Sequence[int], I: Iterable[int]) -> bool:
-    return translation_type(v) == frozenset(I)
 
 
 def regular_translation(system: CoxeterSystem, I: Iterable[int]) -> Vec:

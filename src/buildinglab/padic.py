@@ -103,7 +103,7 @@ class PadicScalar:
     @classmethod
     def near_zero(cls, p: int, bound) -> "PadicScalar":
         """A value known only to vanish modulo p**bound."""
-        if bound is INF:
+        if bound == INF:
             return cls.zero(p)
         return cls(p, int(bound), 0, 0)
 

@@ -38,7 +38,7 @@ from buildinglab.dynamics import (
     verify_transit,
 )
 from buildinglab import chabauty as ch
-from buildinglab.cli import _run_coxeter, mild_element, parse_config
+from buildinglab.cli import _run_coxeter, _subsets, mild_element, parse_config
 
 N = 32
 
@@ -52,13 +52,6 @@ def _conclude(num, label, budget, t0, ok, detail):
     )
     assert ok, detail
     assert elapsed < budget, "budget exceeded: %.2fs" % elapsed
-
-
-def _subsets(k):
-    out = [()]
-    for i in range(k):
-        out += [s + (i,) for s in out]
-    return out
 
 
 def test_1_coxeter_oracles_exhaustive():
@@ -90,7 +83,7 @@ def test_1_coxeter_oracles_exhaustive():
         for c in elements:
             for d in elements:
                 w = c.inverse() * d
-                for J in _subsets(system.rank):
+                for J in _subsets(range(system.rank)):
                     residue = {w * u for u in system.parabolic(J)}
                     gate = system.min_coset_rep(w, J)
                     dists = sorted(x.length for x in residue)
@@ -150,7 +143,7 @@ def test_3_translation_type_round_trip():
     for name in ("A~2", "A~3", "C~2"):
         aff = AffineSystem(name)
         sys = aff.finite
-        for I in _subsets(sys.rank):
+        for I in _subsets(range(sys.rank)):
             if len(I) == sys.rank:
                 continue  # the full type would force the zero vector
             I = frozenset(I)

@@ -94,6 +94,14 @@ def test_coxeter_runner_exhaustive_counts():
         run(parse_config({"kind": "coxeter-oracle", "types": ["Z9"]}))
 
 
+@pytest.mark.parametrize("types", [[["A2"]], "A2", []])
+def test_coxeter_rejects_malformed_types(tmp_path, capsys, types):
+    path = tmp_path / "cox.json"
+    path.write_text(json.dumps({"kind": "coxeter-oracle", "types": types}))
+    assert main(["coxeter", "--config", str(path)]) == 2
+    assert "'types'" in capsys.readouterr().err
+
+
 def test_decomposition_runner_residuals():
     cfg = parse_config({
         "kind": "decompositions",

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from buildinglab import coxeter
 from buildinglab.coxeter import (
     AffineSystem,
+    _identity_mat,
+    _is_negative,
+    _mat_mul,
+    _mat_vec,
     get_system,
     pair,
     permutation_from_weyl,
@@ -63,6 +67,31 @@ def test_length_equals_bfs_distance_and_inversions(name):
     for w in sys.elements():
         assert w.length == table[w.mat]
         assert w.length == oracles.roots_sent_negative(sys, w)
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_tables_against_matrix_representation(name):
+    """Every table entry, checked exhaustively on the matrices."""
+    sys = get_system(name)
+    els = sys.elements()
+    assert els == sorted(els, key=lambda w: (w.length, w.word))
+    ident = _identity_mat(sys.rank)
+    for a in els:
+        assert sys.from_matrix(a.mat) is a
+        assert a.inverse().mat == a.inv_mat
+        assert _mat_mul(a.mat, a.inverse().mat) == ident
+        for i in range(sys.rank):
+            alpha = sys.alpha(i)
+            assert (i in a.left_descents()) == _is_negative(_mat_vec(a.inv_mat, alpha))
+            assert (i in a.right_descents()) == _is_negative(_mat_vec(a.mat, alpha))
+        for b in els:
+            assert (a * b).mat == _mat_mul(a.mat, b.mat)
+            assert sys.separating_walls(a, b) == oracles.separating_walls_by_sides(sys, a, b)
+    not_element = tuple(tuple(2 * x for x in row) for row in ident)
+    wrong_shape = _identity_mat(sys.rank + 1)
+    for mat in (not_element, wrong_shape):
+        with pytest.raises(ValueError):
+            sys.from_matrix(mat)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -86,6 +86,12 @@ def test_near_zero_plus_known_value():
     assert (z + b).val_floor() == 5
 
 
+def test_near_zero_infinite_bound_is_exact_zero():
+    # an infinite bound compares by value: any float infinity is accepted
+    for bound in (INF, float("inf")):
+        assert PadicScalar.near_zero(P, bound).is_exact_zero()
+
+
 def test_exact_zero_identity():
     zero = PadicScalar.zero(P)
     a = PadicScalar.from_int(11, P, N)
