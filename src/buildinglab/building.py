@@ -19,6 +19,17 @@ Conventions, fixed once for the whole laboratory:
 Under these choices the attracting chamber of diag(p^{-m}, p^{m}) is
 c_plus, and conjugation g -> gamma g gamma^{-1} expands the unipotent
 radical of the attracting parabolic.
+
+Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
+loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
+The decompositions reduce a working copy A of g with one pivot search
+and shared row and column operations.  These update tracked transforms:
+row steps keep g = left . A, column steps keep g = A . right, and a
+decomposition tracking both keeps g = left . A . right.
+Each decomposition fixes only its pivot order: Cartan row-major over the
+trailing square, Iwasawa along row i from column i, Iwahori the bottom
+row first and then the leftmost column among least valuations, Bruhat
+the bottom-most nonzero entry of each column.
 """
 
 from __future__ import annotations
@@ -121,33 +132,14 @@ class Mat:
         return _det(self.ctx, [list(r) for r in self.rows])
 
     def inv(self) -> "Mat":
-        """Gauss-Jordan with smallest-valuation pivoting."""
-        n = self.n
-        A = [list(r) for r in self.rows]
-        B = [[self.ctx.one if i == j else self.ctx.zero for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv, best = None, None
-            for i in range(col, n):
-                if not A[i][col].is_zeroish():
-                    v = A[i][col].val_floor()
-                    if best is None or v < best:
-                        piv, best = i, v
-            if piv is None:
-                raise PrecisionExhausted("matrix is singular within working precision")
-            A[col], A[piv] = A[piv], A[col]
-            B[col], B[piv] = B[piv], B[col]
-            inv_p = A[col][col].inv()
-            A[col] = [inv_p * x for x in A[col]]
-            B[col] = [inv_p * x for x in B[col]]
-            for i in range(n):
-                if i == col:
-                    continue
-                c = A[i][col]
-                if c.is_zeroish():
-                    continue
-                A[i] = [x - c * y for x, y in zip(A[i], A[col])]
-                B[i] = [x - c * y for x, y in zip(B[i], B[col])]
-        return Mat(self.ctx, B)
+        """Gauss-Jordan on [g | I] with smallest-valuation pivoting."""
+        n, ctx = self.n, self.ctx
+        aug = [row + tuple(ctx.one if i == j else ctx.zero for j in range(n))
+               for i, row in enumerate(self.rows)]
+        R, pivots = _echelon_rows(ctx, aug)
+        if len(pivots) < n or pivots[n - 1][1] != n - 1:
+            raise PrecisionExhausted("matrix is singular within working precision")
+        return Mat(ctx, [r[n:] for r in R])
 
     def min_val_floor(self):
         return min(x.val_floor() for row in self.rows for x in row)
@@ -185,8 +177,71 @@ def mat_agreement(a: Mat, b: Mat):
     return min(x.val_floor() for row in d.rows for x in row)
 
 
+# ---------------------------------------------------------------------------
+# elimination core
+
+
+def _pivot(A, cells):
+    """First cell, in the order given, with a nonzero entry of least valuation."""
+    piv, best = None, None
+    for i, j in cells:
+        x = A[i][j]
+        if not x.is_zeroish():
+            v = x.val_floor()
+            if best is None or v < best:
+                piv, best = (i, j), v
+    return piv
+
+
+def _add_row(A, dst, src, c, left=None):
+    """A <- E A with E = I + c e_{dst, src}; left <- left E^{-1}."""
+    A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
+    if left is not None:
+        for r in left:
+            r[src] = r[src] - c * r[dst]
+
+
+def _add_col(A, dst, src, c, right=None):
+    """A <- A F with F = I + c e_{src, dst}; right <- F^{-1} right."""
+    for r in A:
+        r[dst] = r[dst] + c * r[src]
+    if right is not None:
+        right[src] = [x - c * y for x, y in zip(right[src], right[dst])]
+
+
+def _swap_rows(A, i, j, left=None):
+    A[i], A[j] = A[j], A[i]
+    if left is not None:
+        for r in left:
+            r[i], r[j] = r[j], r[i]
+
+
+def _swap_cols(A, i, j, right=None):
+    for r in A:
+        r[i], r[j] = r[j], r[i]
+    if right is not None:
+        right[i], right[j] = right[j], right[i]
+
+
+def _clear_cross(ctx, A, pi, pj, rows, cols, left, right):
+    """Clear column pj over rows, then row pi over cols, with pivot A[pi][pj].
+
+    Cleared entries are set to the exact zero: the operations cancel them
+    by construction, whatever digits the subtraction kept.
+    """
+    pinv = A[pi][pj].inv()
+    for i in rows:
+        if i != pi and not A[i][pj].is_zeroish():
+            _add_row(A, i, pi, -(A[i][pj] * pinv), left)
+            A[i][pj] = ctx.zero
+    for j in cols:
+        if j != pj and not A[pi][j].is_zeroish():
+            _add_col(A, j, pj, -(A[pi][j] * pinv), right)
+            A[pi][j] = ctx.zero
+
+
 def _echelon_rows(ctx: "GroupContext", rows: List[List[PadicScalar]]):
-    """Row reduction with min-valuation pivoting; (reduced, pivots)."""
+    """Gauss-Jordan with min-valuation pivoting; (reduced, pivots)."""
     R = [list(r) for r in rows]
     m = len(R)
     k = len(R[0]) if R else 0
@@ -195,21 +250,15 @@ def _echelon_rows(ctx: "GroupContext", rows: List[List[PadicScalar]]):
     for c in range(k):
         if r >= m:
             break
-        best = None
-        for i in range(r, m):
-            x = R[i][c]
-            if not x.is_zeroish():
-                if best is None or x.valuation() < R[best][c].valuation():
-                    best = i
-        if best is None:
+        piv = _pivot(R, ((i, c) for i in range(r, m)))
+        if piv is None:
             continue
-        R[r], R[best] = R[best], R[r]
+        _swap_rows(R, r, piv[0])
         pinv = R[r][c].inv()
         R[r] = [e * pinv for e in R[r]]
         for i in range(m):
             if i != r and not R[i][c].is_zeroish():
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                _add_row(R, i, r, -R[i][c])
         pivots.append((r, c))
         r += 1
     return R, pivots
@@ -479,8 +528,7 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
                 c = cols[j][r]
                 if c.is_zeroish():
                     continue
-                pj = pivot_of_col.index(r)
-                cols[j] = [x - c * y for x, y in zip(cols[j], cols[pj])]
+                _add_row(cols, j, pivot_of_col.index(r), -c)
                 cols[j][r] = ctx.zero
         done: List[int] = []
         while len(done) < len(block):
@@ -524,7 +572,7 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
                     continue
                 c = cols[j][pr]
                 if not c.is_zeroish():
-                    cols[j] = [x - c * y for x, y in zip(cols[j], cols[pc])]
+                    _add_row(cols, j, pc, -c)
                 # the interpolation condition holds exactly by construction
                 cols[j][pr] = ctx.zero
             pivot_rows.append(pr)
@@ -636,42 +684,13 @@ def cartan_decomposition(g: Mat) -> Tuple[Mat, Tuple[int, ...], Mat]:
     A = [list(r) for r in g.rows]
     k1 = [list(r) for r in ctx.identity.rows]
     k2 = [list(r) for r in ctx.identity.rows]
-
-    def row_op(i_dst, i_src, c):
-        # A <- E A with E = I + c e_{i_dst, i_src}; k1 <- k1 E^{-1}
-        A[i_dst] = [x + c * y for x, y in zip(A[i_dst], A[i_src])]
-        for r in k1:
-            r[i_src] = r[i_src] - c * r[i_dst]
-
-    def col_op(j_dst, j_src, c):
-        # A <- A F; k2 <- F^{-1} k2
-        for r in A:
-            r[j_dst] = r[j_dst] + c * r[j_src]
-        k2[j_src] = [x - c * y for x, y in zip(k2[j_src], k2[j_dst])]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for r in k1:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        k2[i], k2[j] = k2[j], k2[i]
-
     exps = []
     for t in range(n):
-        piv, best = None, None
-        for i in range(t, n):
-            for j in range(t, n):
-                if not A[i][j].is_zeroish():
-                    v = A[i][j].val_floor()
-                    if best is None or v < best:
-                        piv, best = (i, j), v
+        piv = _pivot(A, ((i, j) for i in range(t, n) for j in range(t, n)))
         if piv is None:
             raise PrecisionExhausted("matrix singular within precision")
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        _swap_rows(A, t, piv[0], k1)
+        _swap_cols(A, t, piv[1], k2)
         # normalize the pivot to an exact power of p
         u_inv = PadicScalar(ctx.p, -A[t][t].valuation(), 1, ctx.precision) * A[t][t]
         c = u_inv.inv()
@@ -679,14 +698,8 @@ def cartan_decomposition(g: Mat) -> Tuple[Mat, Tuple[int, ...], Mat]:
             r[t] = r[t] * c
         k2[t] = [u_inv * x for x in k2[t]]
         exps.append(A[t][t].valuation())
-        for i in range(t + 1, n):
-            if not A[i][t].is_zeroish():
-                row_op(i, t, -(A[i][t] * A[t][t].inv()))
-                A[i][t] = ctx.zero
-        for j in range(t + 1, n):
-            if not A[t][j].is_zeroish():
-                col_op(j, t, -(A[t][j] * A[t][t].inv()))
-                A[t][j] = ctx.zero
+        rest = range(t + 1, n)
+        _clear_cross(ctx, A, t, t, rest, rest, k1, k2)
     # sort exponents descending by conjugating with a permutation
     order = sorted(range(n), key=lambda i: -exps[i])
     sigma = [0] * n
@@ -713,32 +726,12 @@ def iwasawa_decomposition(g: Mat, lower: bool = True) -> Tuple[Mat, Mat, Mat]:
     n = g.n
     A = [list(r) for r in g.rows]
     k = [list(r) for r in ctx.identity.rows]
-
-    def col_op(j_dst, j_src, c):
-        for r in A:
-            r[j_dst] = r[j_dst] + c * r[j_src]
-        k[j_src] = [x - c * y for x, y in zip(k[j_src], k[j_dst])]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        k[i], k[j] = k[j], k[i]
-
     for i in range(n):
-        piv, best = None, None
-        for j in range(i, n):
-            if not A[i][j].is_zeroish():
-                v = A[i][j].val_floor()
-                if best is None or v < best:
-                    piv, best = j, v
+        piv = _pivot(A, ((i, j) for j in range(i, n)))
         if piv is None:
             raise PrecisionExhausted("matrix singular within precision")
-        col_swap(i, piv)
-        for j in range(i + 1, n):
-            if not A[i][j].is_zeroish():
-                col_op(j, i, -(A[i][j] * A[i][i].inv()))
-                A[i][j] = ctx.zero
-    L = Mat(ctx, A)
+        _swap_cols(A, i, piv[1], k)
+        _clear_cross(ctx, A, i, i, (), range(i + 1, n), None, k)
     t_entries = [A[i][i] for i in range(n)]
     t = Mat(
         ctx,
@@ -799,32 +792,14 @@ def iwahori_coset(g: Mat) -> AffineWeylCoset:
     perm = [0] * n
     exps = [0] * n
     while free_cols:
-        piv, best = None, None
-        for i in sorted(free_rows):
-            for j in sorted(free_cols):
-                if not A[i][j].is_zeroish():
-                    v = A[i][j].val_floor()
-                    if best is None or v < best or (
-                        v == best and (i > piv[0] or (i == piv[0] and j < piv[1]))
-                    ):
-                        piv, best = (i, j), v
+        bottom_up = sorted(free_rows, reverse=True)
+        piv = _pivot(A, ((i, j) for i in bottom_up for j in sorted(free_cols)))
         if piv is None:
             raise PrecisionExhausted("matrix singular within precision")
         pi, pj = piv
-        pivot = A[pi][pj]
-        for i in free_rows:
-            if i != pi and not A[i][pj].is_zeroish():
-                c = -(A[i][pj] * pivot.inv())
-                A[i] = [x + c * y for x, y in zip(A[i], A[pi])]
-                A[i][pj] = ctx.zero
-        for j in free_cols:
-            if j != pj and not A[pi][j].is_zeroish():
-                c = -(A[pi][j] * pivot.inv())
-                for r in A:
-                    r[j] = r[j] + c * r[pj]
-                A[pi][j] = ctx.zero
+        _clear_cross(ctx, A, pi, pj, free_rows, free_cols, None, None)
         perm[pj] = pi
-        exps[pj] = pivot.valuation()
+        exps[pj] = A[pi][pj].valuation()
         free_rows.remove(pi)
         free_cols.remove(pj)
     return AffineWeylCoset(tuple(perm), tuple(exps))
@@ -844,35 +819,14 @@ def bruhat_cell(g: Mat) -> Tuple[Mat, Mat, Mat]:
     b = [list(r) for r in ctx.identity.rows]
     used_rows: set = set()
     for j in range(n):
-        pivot_row = None
-        for i in range(n - 1, -1, -1):
-            if i in used_rows:
-                continue
-            if not A[i][j].is_zeroish():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(n - 1, -1, -1) if i not in used_rows
+                          and not A[i][j].is_zeroish()), None)
         if pivot_row is None:
             raise PrecisionExhausted("matrix singular within precision")
-        piv_inv = A[pivot_row][j].inv()
-        # clear upward inside column j (left mult by upper unitriangular)
-        for i in range(pivot_row):
-            if i in used_rows or A[i][j].is_zeroish():
-                continue
-            c = -(A[i][j] * piv_inv)
-            A[i] = [x + c * y for x, y in zip(A[i], A[pivot_row])]
-            A[i][j] = ctx.zero
-            # g = u' A'  keeps holding with u' <- u' E^{-1}
-            for r in u:
-                r[pivot_row] = r[pivot_row] - c * r[i]
-        # clear rightward along the pivot row (right mult by upper tri)
-        for jj in range(j + 1, n):
-            if A[pivot_row][jj].is_zeroish():
-                continue
-            c = -(A[pivot_row][jj] * piv_inv)
-            for r in A:
-                r[jj] = r[jj] + c * r[j]
-            A[pivot_row][jj] = ctx.zero
-            b[j] = [x - c * y for x, y in zip(b[j], b[jj])]
+        # clear upward inside column j (left mult by upper unitriangular),
+        # then rightward along the pivot row (right mult by upper triangular)
+        above = (i for i in range(pivot_row) if i not in used_rows)
+        _clear_cross(ctx, A, pivot_row, j, above, range(j + 1, n), u, b)
         used_rows.add(pivot_row)
     return Mat(ctx, u), Mat(ctx, A), Mat(ctx, b)
 

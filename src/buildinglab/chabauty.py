@@ -26,7 +26,7 @@ from .building import (
     opposite,
     parabolic_membership,
 )
-from .dynamics import HyperbolicCertificate
+from .dynamics import HyperbolicCertificate, _validate_family
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +150,6 @@ class TraceResult:
     converged: bool
     limit: Optional[Mat]
     tail: int
-
-
-def _validate_family(certs: Sequence[HyperbolicCertificate]) -> None:
-    if not certs:
-        raise ValueError("empty certificate family")
-    first = certs[0]
-    for cert in certs[1:]:
-        if not (cert.sigma_plus.same(first.sigma_plus, depth=8)
-                and cert.sigma_minus.same(first.sigma_minus, depth=8)):
-            raise ValueError("certificates do not share an axis")
-    lengths = [cert.translation_length for cert in certs]
-    if any(b <= a + 1e-9 for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("translation lengths must strictly increase")
 
 
 def conjugate_trace(spec: SubgroupSpec,

@@ -406,12 +406,12 @@ def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
         # group is transitive) while keeping flag coordinates shallow
         # enough to certify agreement near working precision
         xi = ctx.c_plus.translate(ctx.random_gl_zp(rng))
-        check = dyn.assumption_check(cert, xi)
-        row: Dict[str, Any] = {"index": i, "hypothesis": check.satisfied}
-        if check.satisfied:
-            lim = dyn.limit_boundary(cert, xi, max_n=max_n,
-                                     r_target=r_target, rng=rng)
-            row["status"] = lim.status
+        lim = dyn.limit_boundary(cert, xi, max_n=max_n, r_target=r_target,
+                                 rng=rng)
+        satisfied = lim.hypothesis.satisfied
+        row: Dict[str, Any] = {"index": i, "hypothesis": satisfied,
+                               "status": lim.status}
+        if satisfied:
             row["first_n"] = lim.first_n
             row["monotone"] = lim.monotone
             row["trace"] = [[n, _json_val(r)] for n, r in lim.trace]
@@ -422,8 +422,6 @@ def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
             if not ok:
                 failures += 1
         else:
-            lim = dyn.limit_boundary(cert, xi, max_n=max_n, rng=rng)
-            row["status"] = lim.status
             row["monotone"] = lim.monotone
         report["records"].append(row)
     report["failures"] = failures

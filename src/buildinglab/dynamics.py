@@ -181,12 +181,16 @@ def fixes_min_boundary(cert: HyperbolicCertificate, depth: Optional[int] = None)
     )
 
 
-def _dims_from_ascending(asc: Sequence[int]) -> Tuple[int, ...]:
-    dims = []
-    for j in range(len(asc) - 1):
-        if asc[j] != asc[j + 1]:
-            dims.append(j + 1)
-    return tuple(dims)
+def _certificate_tail(a: Sequence[int]):
+    """Endpoint dims, their duals, length and wall type of descending exps a."""
+    n = len(a)
+    asc = a[::-1]
+    dims_plus = tuple(j + 1 for j in range(n - 1) if asc[j] != asc[j + 1])
+    dims_minus = tuple(sorted(n - d for d in dims_plus))
+    mean = sum(a) / n
+    length = math.sqrt(sum((x - mean) ** 2 for x in a))
+    wall = coxeter.translation_type(tuple(a[j] - a[j + 1] for j in range(n - 1)))
+    return dims_plus, dims_minus, length, wall
 
 
 def _certificate_from_frame(g: Mat, frame: Mat) -> Optional[HyperbolicCertificate]:
@@ -201,18 +205,11 @@ def _certificate_from_frame(g: Mat, frame: Mat) -> Optional[HyperbolicCertificat
     if len(set(raw)) == 1:
         return None
     order = sorted(range(n), key=lambda i: raw[i])
-    asc = [raw[i] for i in order]
-    dims_plus = _dims_from_ascending(asc)
-    dims_minus = tuple(sorted(n - d for d in dims_plus))
+    a = tuple(sorted(raw, reverse=True))
+    dims_plus, dims_minus, length, wall = _certificate_tail(a)
     M = frame * ctx.perm(order)
     sigma_plus = boundary_simplex(M, dims_plus)
     sigma_minus = boundary_simplex(M * ctx.reversal, dims_minus)
-    a = tuple(sorted(raw, reverse=True))
-    mean = sum(a) / n
-    length = math.sqrt(sum((x - mean) ** 2 for x in a))
-    wall = coxeter.translation_type(
-        tuple(a[j] - a[j + 1] for j in range(n - 1))
-    )
     diagonal = all(
         g[i, j].is_zeroish() for i in range(n) for j in range(n) if i != j
     )
@@ -269,17 +266,10 @@ def classify(
     slopes = newton_slopes(characteristic_polynomial(g))
     if len(set(slopes)) == 1:
         return None
-    asc = tuple(reversed(slopes))
-    dims_plus = _dims_from_ascending(asc)
-    dims_minus = tuple(sorted(n - d for d in dims_plus))
     a = slopes
-    mean = sum(a) / n
-    length = math.sqrt(sum((x - mean) ** 2 for x in a))
-    wall = coxeter.translation_type(
-        tuple(a[j] - a[j + 1] for j in range(n - 1))
-    )
+    dims_plus, dims_minus, length, wall = _certificate_tail(a)
 
-    gaps = [asc[j + 1] - asc[j] for j in range(n - 1) if asc[j + 1] > asc[j]]
+    gaps = [a[j] - a[j + 1] for j in range(n - 1) if a[j] > a[j + 1]]
     depth = max(6, ctx.precision // 4)
     spread = a[0] - a[-1]
     k = max(2, -(-(depth + 2 * spread + 4) // min(gaps)))
@@ -566,6 +556,7 @@ class LimitReport:
     first_n: Optional[int]
     monotone: bool
     r_target: float
+    hypothesis: AssumptionReport
 
 
 def limit_boundary(
@@ -585,6 +576,8 @@ def limit_boundary(
     r_target.  When the hypothesis fails the orbit is still traced,
     gate per consecutive step, and reported without a limit; rotation
     near the repelling simplex shows up there as a stalling trace.
+    The hypothesis check runs once per call, also for a start chamber
+    the element fixes, and its report is the `hypothesis` field.
     """
     ctx = xi.ctx
     if not xi.is_chamber():
@@ -597,12 +590,11 @@ def limit_boundary(
         rng = random.Random(65537)
     g = cert.element
 
+    report = assumption_check(cert, xi)
     if parabolic_membership(g, xi):
         return LimitReport(
-            "converged", xi, xi, None, [(0, INF)], 0, True, r_target
+            "converged", xi, xi, None, [(0, INF)], 0, True, r_target, report
         )
-
-    report = assumption_check(cert, xi)
     if not report.satisfied:
         trace: List[Tuple[int, float]] = []
         prev = xi
@@ -619,6 +611,7 @@ def limit_boundary(
             None,
             False,
             r_target,
+            report,
         )
 
     witness = report.witness
@@ -655,12 +648,10 @@ def limit_boundary(
                 break
     monotone = all(b >= a for (_, a), (_, b) in zip(trace, trace[1:]))
     if first_n is not None:
-        return LimitReport(
-            "converged", y, eta, witness, trace, first_n, monotone, r_target
-        )
-    return LimitReport(
-        "no-convergence", None, eta, witness, trace, None, monotone, r_target
-    )
+        return LimitReport("converged", y, eta, witness, trace, first_n,
+                           monotone, r_target, report)
+    return LimitReport("no-convergence", None, eta, witness, trace, None,
+                       monotone, r_target, report)
 
 
 # -- absorption along translation families ------------------------------------
@@ -679,6 +670,25 @@ class TransitReport:
     all_absorbed: bool
 
 
+def _validate_family(certs: Sequence[HyperbolicCertificate]) -> None:
+    """A family shares its endpoint pair and strictly grows in length.
+
+    Endpoints are compared to a quarter of the working precision, so
+    the test stays meaningful when only a few digits are tracked.
+    """
+    if not certs:
+        raise ValueError("empty certificate family")
+    depth = max(1, certs[0].element.ctx.precision // 4)
+    sp = certs[0].sigma_plus
+    sm = certs[0].sigma_minus
+    for c in certs[1:]:
+        if not (c.sigma_plus.same(sp, depth) and c.sigma_minus.same(sm, depth)):
+            raise ValueError("certificates do not share an axis")
+    lengths = [c.translation_length for c in certs]
+    if any(b <= a + 1e-9 for a, b in zip(lengths, lengths[1:])):
+        raise ValueError("translation lengths must strictly increase")
+
+
 def verify_transit(
     certs: Sequence[HyperbolicCertificate],
     measure: GateMeasure,
@@ -693,16 +703,9 @@ def verify_transit(
     the gate; the report records the first such n per target and
     whether membership persists from there on.
     """
-    if not certs:
-        raise ValueError("empty certificate family")
+    _validate_family(certs)
     sp = certs[0].sigma_plus
     sm = certs[0].sigma_minus
-    for c in certs[1:]:
-        if not (c.sigma_plus.same(sp, 8) and c.sigma_minus.same(sm, 8)):
-            raise ValueError("certificates do not share an axis")
-    lengths = [c.translation_length for c in certs]
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("translation lengths must strictly increase")
     for t in targets:
         if not opposite(sp, t):
             raise ValueError("target is not opposite the attracting simplex")

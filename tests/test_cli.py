@@ -1,7 +1,9 @@
 """Config plumbing, runners, exit codes, and report determinism."""
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,18 @@ from buildinglab.cli import (
 from buildinglab.building import GroupContext
 
 N = 32
+
+
+def _reference_hashes():
+    # the benchmark's table is the single source of the reference hashes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.REFERENCE_HASHES
+
+
+REFERENCE_HASHES = _reference_hashes()
 
 
 def test_config_roundtrip_idempotent():
@@ -274,3 +288,25 @@ def test_report_hash_tracks_seed(tmp_path):
     assert b1["meta"]["determinism_hash"] != b2["meta"]["determinism_hash"]
     _, b3 = run(parse_config(dict(base, seed=1)))
     assert b1["meta"]["determinism_hash"] == b3["meta"]["determinism_hash"]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_hash_matches_reference(preset):
+    code, body = run(parse_config(PRESETS[preset]))
+    assert code == 0
+    assert body["meta"]["determinism_hash"].startswith(
+        REFERENCE_HASHES[preset])
+
+
+@pytest.mark.parametrize("precision", [4, 6])
+@pytest.mark.parametrize("command,preset", [
+    ("transit", "sl2-q3-transit"),
+    ("transit", "sl3-q3-transit"),
+    ("chabauty", "so2-sl2-q5"),
+])
+def test_family_presets_at_low_precision(capsys, command, preset, precision):
+    # the shared-axis test compares endpoints to a quarter of the
+    # working precision, so a short window still certifies a family
+    assert main([command, "--preset", preset,
+                 "--precision", str(precision)]) == 0
+    capsys.readouterr()

@@ -431,6 +431,9 @@ def test_limit_boundary_fixed_start():
     assert rep.first_n == 0
     assert rep.trace == [(0, INF)]
     assert rep.limit.same(chamber_of(cert.sigma_plus), N - 4)
+    # the hypothesis is checked even when the start is already fixed
+    assert rep.hypothesis.satisfied
+    assert rep.hypothesis.witness is not None
 
 
 def test_limit_boundary_sl3_retraction_and_witness_independence():
@@ -463,6 +466,8 @@ def test_limit_boundary_rotation_stalls():
     assert rep.limit is None
     assert rep.first_n is None
     assert len(rep.trace) == 24
+    assert not rep.hypothesis.satisfied
+    assert rep.hypothesis.witness is None
     # consecutive iterates keep disagreeing at depth zero: pure rotation
     assert all(r == 0 for _, r in rep.trace)
     # while the accepted start still converges
@@ -471,6 +476,8 @@ def test_limit_boundary_rotation_stalls():
     )
     rep2 = limit_boundary(cert, xi_ok)
     assert rep2.status == "converged"
+    assert rep2.hypothesis.satisfied
+    assert rep2.witness is rep2.hypothesis.witness
     assert [r for _, r in rep2.trace[:4]] == [0, 3, 6, 9]
 
 
