@@ -20,6 +20,13 @@ Under these choices the attracting chamber of diag(p^{-m}, p^{m}) is
 c_plus, and conjugation g -> gamma g gamma^{-1} expands the unipotent
 radical of the attracting parabolic.
 
+Sums of products run on the raw p-adic kernel ``padic._fold``, which
+returns exactly what the chain of scalar operators would: each entry of
+a matrix product is one kernel call, each level of the cofactor
+expansion in ``Mat.det`` is one kernel call over the first row and the
+signed minors, and each entry touched by a row or column step
+(``x - c*y``, or ``x + c*y`` in the tracked inverse) is one kernel call.
+
 Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
 loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
 The decompositions reduce a working copy A of g with one pivot search
@@ -44,10 +51,9 @@ from .coxeter import (
     CoxeterSystem,
     WeylElement,
     get_system,
-    permutation_word,
     weyl_from_permutation,
 )
-from .padic import INF, PadicScalar, PrecisionExhausted
+from .padic import INF, PadicScalar, PrecisionExhausted, _fold
 
 __all__ = [
     "AffineWeylCoset",
@@ -89,7 +95,7 @@ class Mat:
 
     def __init__(self, ctx: "GroupContext", rows: Sequence[Sequence[PadicScalar]]):
         self.ctx = ctx
-        self.rows: Tuple[Tuple[PadicScalar, ...], ...] = tuple(tuple(r) for r in rows)
+        self.rows: Tuple[Tuple[PadicScalar, ...], ...] = tuple(map(tuple, rows))
 
     @property
     def n(self) -> int:
@@ -100,17 +106,9 @@ class Mat:
         return self.rows[i][j]
 
     def __mul__(self, other: "Mat") -> "Mat":
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return Mat(self.ctx, rows)
+        cols = tuple(zip(*other.rows))
+        return Mat(self.ctx, [[_fold(None, zip(row, col)) for col in cols]
+                              for row in self.rows])
 
     def __sub__(self, other: "Mat") -> "Mat":
         return Mat(
@@ -129,7 +127,7 @@ class Mat:
 
     def det(self) -> PadicScalar:
         """Cofactor expansion; division-free, fine for n <= 4."""
-        return _det(self.ctx, [list(r) for r in self.rows])
+        return _det(self.rows)
 
     def inv(self) -> "Mat":
         """Gauss-Jordan on [g | I] with smallest-valuation pivoting."""
@@ -154,21 +152,14 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _det(ctx: "GroupContext", rows: List[List[PadicScalar]]) -> PadicScalar:
+def _det(rows: Sequence[Sequence[PadicScalar]]) -> PadicScalar:
+    """Cofactor expansion along the first row, one kernel call per level."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    acc = None
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a * _det(ctx, minor)
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc
+    terms = [(rows[0][j], _det([r[:j] + r[j + 1:] for r in rows[1:]]))
+             for j in range(n)]
+    return _fold(None, terms[0::2], terms[1::2])
 
 
 def mat_agreement(a: Mat, b: Mat):
@@ -193,20 +184,20 @@ def _pivot(A, cells):
     return piv
 
 
-def _add_row(A, dst, src, c, left=None):
-    """A <- E A with E = I + c e_{dst, src}; left <- left E^{-1}."""
-    A[dst] = [x + c * y for x, y in zip(A[dst], A[src])]
+def _sub_row(A, dst, src, c, left=None):
+    """A <- E A with E = I - c e_{dst, src}; left <- left E^{-1}."""
+    A[dst] = [_fold(x, (), ((c, y),)) for x, y in zip(A[dst], A[src])]
     if left is not None:
         for r in left:
-            r[src] = r[src] - c * r[dst]
+            r[src] = _fold(r[src], ((c, r[dst]),))
 
 
-def _add_col(A, dst, src, c, right=None):
-    """A <- A F with F = I + c e_{src, dst}; right <- F^{-1} right."""
+def _sub_col(A, dst, src, c, right=None):
+    """A <- A F with F = I - c e_{src, dst}; right <- F^{-1} right."""
     for r in A:
-        r[dst] = r[dst] + c * r[src]
+        r[dst] = _fold(r[dst], (), ((c, r[src]),))
     if right is not None:
-        right[src] = [x - c * y for x, y in zip(right[src], right[dst])]
+        right[src] = [_fold(x, ((c, y),)) for x, y in zip(right[src], right[dst])]
 
 
 def _swap_rows(A, i, j, left=None):
@@ -232,11 +223,11 @@ def _clear_cross(ctx, A, pi, pj, rows, cols, left, right):
     pinv = A[pi][pj].inv()
     for i in rows:
         if i != pi and not A[i][pj].is_zeroish():
-            _add_row(A, i, pi, -(A[i][pj] * pinv), left)
+            _sub_row(A, i, pi, A[i][pj] * pinv, left)
             A[i][pj] = ctx.zero
     for j in cols:
         if j != pj and not A[pi][j].is_zeroish():
-            _add_col(A, j, pj, -(A[pi][j] * pinv), right)
+            _sub_col(A, j, pj, A[pi][j] * pinv, right)
             A[pi][j] = ctx.zero
 
 
@@ -258,7 +249,7 @@ def _echelon_rows(ctx: "GroupContext", rows: List[List[PadicScalar]]):
         R[r] = [e * pinv for e in R[r]]
         for i in range(m):
             if i != r and not R[i][c].is_zeroish():
-                _add_row(R, i, r, -R[i][c])
+                _sub_row(R, i, r, R[i][c])
         pivots.append((r, c))
         r += 1
     return R, pivots
@@ -329,6 +320,11 @@ class GroupContext:
         self.weyl: CoxeterSystem = get_system(f"A{n - 1}")
         self.zero = PadicScalar.zero(p)
         self.one = PadicScalar.one(p, precision)
+        # one shared instance: a Mat is immutable, and callers that need a
+        # working copy copy its rows
+        self.identity: Mat = self.mat(
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        )
 
     # -- scalar helpers ------------------------------------------------
 
@@ -347,12 +343,6 @@ class GroupContext:
                 [x if isinstance(x, PadicScalar) else self.s(x) for x in r]
             )
         return Mat(self, rows)
-
-    @property
-    def identity(self) -> Mat:
-        return self.mat(
-            [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        )
 
     def diag(self, exps: Sequence[int], units: Optional[Sequence[int]] = None) -> Mat:
         n = self.n
@@ -478,7 +468,7 @@ class GroupContext:
             for b in range(len(cuts) - 1):
                 lo, hi = cuts[b], cuts[b + 1]
                 sub = [[rows[i][j] for j in range(lo, hi)] for i in range(lo, hi)]
-                if _det(self, sub).is_zeroish():
+                if _det(sub).is_zeroish():
                     ok = False
             if ok:
                 return Mat(self, rows)
@@ -528,7 +518,7 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
                 c = cols[j][r]
                 if c.is_zeroish():
                     continue
-                _add_row(cols, j, pivot_of_col.index(r), -c)
+                _sub_row(cols, j, pivot_of_col.index(r), c)
                 cols[j][r] = ctx.zero
         done: List[int] = []
         while len(done) < len(block):
@@ -572,7 +562,7 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
                     continue
                 c = cols[j][pr]
                 if not c.is_zeroish():
-                    _add_row(cols, j, pc, -c)
+                    _sub_row(cols, j, pc, c)
                 # the interpolation condition holds exactly by construction
                 cols[j][pr] = ctx.zero
             pivot_rows.append(pr)
@@ -663,7 +653,7 @@ def opposite(s1: IdealSimplex, s2: IdealSimplex) -> bool:
             + [s2.canon.rows[i][j] for j in range(n - d)]
             for i in range(n)
         ]
-        if _det(ctx, cols).is_zeroish():
+        if _det(cols).is_zeroish():
             return False
     return True
 

@@ -14,6 +14,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import random
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -38,6 +39,17 @@ from . import chabauty as ch
 KINDS = ("coxeter-oracle", "decompositions", "dynamics", "transit", "chabauty")
 
 MATRIX_KINDS = ("dynamics", "transit", "chabauty")
+
+# Top-level run parameters and the type the runners read them as.
+PARAM_TYPES = {
+    "count": int,
+    "chambers": int,
+    "max_n": int,
+    "gate_target": int,
+    "steps": int,
+    "targets": int,
+    "radius": int,
+}
 
 
 class ConfigError(ValueError):
@@ -68,6 +80,23 @@ def _want(data: Dict[str, Any], field: str, types, where: str):
     return val
 
 
+def _check_group(group: Dict[str, Any]) -> None:
+    """Reject a group the arithmetic cannot work in."""
+    n, p, precision = group["n"], group["p"], group["precision"]
+    if not 2 <= n <= 4:
+        raise ConfigError(
+            "config field 'group.n': expected 2, 3 or 4, got %r" % n)
+    # trial division, bounded so that the check itself stays fast
+    if not (2 <= p < 2**32
+            and all(p % d for d in range(2, math.isqrt(p) + 1))):
+        raise ConfigError(
+            "config field 'group.p': expected a prime below 2**32, got %r" % p)
+    if precision < 1:
+        raise ConfigError(
+            "config field 'group.precision': expected at least 1, got %r"
+            % precision)
+
+
 def parse_config(data: Any) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -94,6 +123,7 @@ def parse_config(data: Any) -> ExperimentConfig:
                     "config field 'group.%s': expected integer, got %r"
                     % (key, val))
             group[key] = val
+        _check_group(group)
     elif kind in MATRIX_KINDS:
         raise ConfigError("config field 'group' is required for kind %r" % kind)
     seed = data.get("seed", 0)
@@ -104,6 +134,13 @@ def parse_config(data: Any) -> ExperimentConfig:
         raise ConfigError("config field 'out': expected string, got %r" % out)
     params = {k: v for k, v in data.items()
               if k not in ("kind", "group", "seed", "out")}
+    for key, typ in PARAM_TYPES.items():
+        if key not in params:
+            continue
+        val = params[key]
+        if not isinstance(val, typ) or isinstance(val, bool):
+            raise ConfigError("config field '%s': expected %s, got %r"
+                              % (key, typ.__name__, val))
     return ExperimentConfig(kind, group, seed, params, out)
 
 
@@ -342,7 +379,7 @@ def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
             if not sound:
                 failures += 1
             stats["bruhat_min"] = min(stats["bruhat_min"],
-                                      mat_agreement(uu * m * b, g) - base)
+                                      diff.min_val_floor() - base)
             # synthesized Iwahori sandwich must recover its label exactly
             sigma = list(range(ctx.n))
             rng.shuffle(sigma)
@@ -656,6 +693,7 @@ def _load_config(args) -> ExperimentConfig:
         if cfg.group is None:
             raise ConfigError("--precision needs a config with a group")
         cfg.group = dict(cfg.group, precision=args.precision)
+        _check_group(cfg.group)
     if args.out is not None:
         cfg.out = args.out
     return cfg

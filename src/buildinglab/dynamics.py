@@ -23,7 +23,6 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 from .padic import INF, PadicScalar, PrecisionExhausted
 from . import coxeter
 from .building import (
-    GroupContext,
     IdealSimplex,
     Mat,
     boundary_simplex,

@@ -19,8 +19,30 @@ Square roots use a residue search modulo p followed by Hensel lifting and
 are only defined for odd p, even valuation and a quadratic-residue unit.
 Of the two roots, the one whose residue modulo p is smaller is returned.
 
-All values are immutable; every operation returns a fresh scalar, so
-instances can be shared freely across threads.
+Sums of products go through one raw kernel, ``_fold``: it computes
+``x + sum(a*b) - sum(c*d)`` in a single pass over the raw ``(v, unit, N)``
+integers and allocates one scalar for the result.  The left-to-right
+chain of ``+``, ``-`` and ``*`` has a closed form, which the kernel
+evaluates directly.  Take each term (``x`` or one product ``a*b``) as the
+scalar that ``*`` gives.  Exact-zero terms drop out.  The result's
+absolute precision ``M`` is the least absolute precision of the other
+terms: ``k`` for an approximate zero ``O(p**k)``, ``v + N`` for a nonzero
+term.  With ``S`` the exact sum of the nonzero terms, the result is the
+exact zero if every term is one, ``O(p**M)`` if ``val(S) >= M``, and
+otherwise ``p**val(S) * unit`` with ``N = M - val(S)``.  So the kernel
+returns, bit for bit, what the chain of scalar operators returns.
+
+Powers of p come from one list per prime, ``_POWERS[p][k] == p**k``,
+grown on demand to at most twice the largest exponent asked for.  Every
+exponent asked for is below the largest relative precision ``N`` in
+use, since digits at or above ``M`` are never computed.  A grown list
+replaces the old one rather than extending it, so a list once read
+never changes.
+
+All values are immutable, so instances can be shared freely across
+threads.  Each prime has one shared exact zero, and an operation may
+return an operand unchanged (adding the exact zero, negating a zero);
+every other result is a fresh scalar.
 """
 
 from __future__ import annotations
@@ -40,6 +62,18 @@ __all__ = [
 INF = math.inf
 
 DEFAULT_PRECISION = 32
+
+_ZEROS: dict = {}  # p -> the shared exact zero
+_POWERS: dict = {}  # p -> [1, p, p**2, ...]
+
+
+def _powers(p: int, k: int) -> list:
+    """The power list of p, long enough to hold p**k."""
+    pw = _POWERS.get(p, ())
+    if len(pw) <= k:
+        size = max(k + 1, 2 * len(pw))
+        _POWERS[p] = pw = [p**i for i in range(size)]
+    return pw
 
 
 class PadicError(ArithmeticError):
@@ -98,7 +132,10 @@ class PadicScalar:
 
     @classmethod
     def zero(cls, p: int) -> "PadicScalar":
-        return cls(p, INF, 0, 0)
+        z = _ZEROS.get(p)
+        if z is None:
+            z = _ZEROS[p] = cls(p, INF, 0, 0)
+        return z
 
     @classmethod
     def near_zero(cls, p: int, bound) -> "PadicScalar":
@@ -157,58 +194,82 @@ class PadicScalar:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _check(self, other: "PadicScalar"):
-        if self.p != other.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
         p = self.p
-        if self.unit == 0:
-            if self.v is INF:
-                return other
-            k = self.v
-            if other.unit == 0:
-                return PadicScalar.near_zero(p, min(k, other.v))
-            if other.v >= k:
-                return PadicScalar.near_zero(p, k)
-            n2 = min(other.N, k - other.v)
-            return PadicScalar(p, other.v, other.unit % p**n2, n2)
-        if other.unit == 0:
-            return other.__add__(self)
-        m = min(self.v + self.N, other.v + other.N)
-        vm = min(self.v, other.v)
-        width = m - vm
+        if p != other.p:
+            raise ValueError(f"mixed primes {p} and {other.p}")
+        a, b = self, other
+        if a.unit == 0 or b.unit == 0:
+            if a.unit != 0:
+                a, b = b, a
+            # a is zeroish
+            k = a.v
+            if k is INF:
+                return b
+            v = b.v
+            if b.unit == 0:
+                return PadicScalar(p, k if k < v else v, 0, 0)
+            if v >= k:
+                return PadicScalar(p, k, 0, 0)
+            n = k - v
+            if b.N < n:
+                n = b.N
+            pw = _POWERS.get(p, ())
+            if len(pw) <= n:
+                pw = _powers(p, n)
+            return PadicScalar(p, v, b.unit % pw[n], n)
+        m = a.v + a.N
+        if b.v + b.N < m:
+            m = b.v + b.N
+        if b.v < a.v:
+            a, b = b, a
+        # a has the lower valuation
+        width = m - a.v
         if width <= 0:
-            return PadicScalar.near_zero(p, m)
-        mod = p**width
-        s = (self.unit * p ** (self.v - vm) + other.unit * p ** (other.v - vm)) % mod
+            return PadicScalar(p, m, 0, 0)
+        pw = _POWERS.get(p, ())
+        if len(pw) <= width:
+            pw = _powers(p, width)
+        d = b.v - a.v
+        s = a.unit + b.unit * pw[d] if d < width else a.unit
+        s %= pw[width]
         if s == 0:
-            return PadicScalar.near_zero(p, m)
-        t = int_valuation(s, p)
-        v = vm + t
-        n2 = m - v
-        return PadicScalar(p, v, (s // p**t) % p**n2, n2)
+            return PadicScalar(p, m, 0, 0)
+        v = a.v
+        while s % p == 0:
+            s //= p
+            v += 1
+        n = m - v
+        return PadicScalar(p, v, s % pw[n], n)
 
     def __neg__(self) -> "PadicScalar":
         if self.unit == 0:
             return self
-        return PadicScalar(self.p, self.v, (-self.unit) % self.p**self.N, self.N)
+        p, N = self.p, self.N
+        pw = _POWERS.get(p, ())
+        if len(pw) <= N:
+            pw = _powers(p, N)
+        return PadicScalar(p, self.v, (-self.unit) % pw[N], N)
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self.__add__(other.__neg__())
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
         p = self.p
+        if p != other.p:
+            raise ValueError(f"mixed primes {p} and {other.p}")
         if self.unit == 0 or other.unit == 0:
-            if self.is_exact_zero() or other.is_exact_zero():
-                return PadicScalar.zero(p)
+            if ((self.unit == 0 and self.v is INF)
+                    or (other.unit == 0 and other.v is INF)):
+                return _ZEROS.get(p) or PadicScalar.zero(p)
             # at least one approximate zero; bounds add (v is the bound
             # for zeroish factors and the exact valuation otherwise)
-            return PadicScalar.near_zero(p, self.v + other.v)
-        n2 = min(self.N, other.N)
-        return PadicScalar(p, self.v + other.v, (self.unit * other.unit) % p**n2, n2)
+            return PadicScalar(p, self.v + other.v, 0, 0)
+        n = self.N if self.N < other.N else other.N
+        pw = _POWERS.get(p, ())
+        if len(pw) <= n:
+            pw = _powers(p, n)
+        return PadicScalar(p, self.v + other.v, self.unit * other.unit % pw[n], n)
 
     def inv(self) -> "PadicScalar":
         if self.unit == 0:
@@ -311,3 +372,84 @@ class PadicScalar:
         if int(base) != p:
             raise ValueError(f"literal prime {base} does not match context prime {p}")
         return cls.from_unit(p, int(exp), int(unit), N)
+
+
+def _fold(x, plus=(), minus=()):
+    """``x + sum(a*b for a, b in plus) - sum(a*b for a, b in minus)``.
+
+    ``x`` is a scalar or None.  One pass over the raw ``(v, unit, N)``
+    integers evaluates the closed form of the module docstring, so the
+    result, and any ``ValueError`` for mixed primes, is what the chain
+    ``x + a0*b0 + a1*b1 ... - c0*d0 ...`` of scalar operators gives.
+    """
+    p = None
+    M = INF  # least absolute precision of a term that is not an exact zero
+    vs = None  # the nonzero terms below M sum to p**vs * s
+    s = 0
+    live = False  # some product is not an exact zero
+    if x is not None:
+        p = x.p
+        pw = _POWERS.get(p, ())
+        if x.unit:
+            vs, s = x.v, x.unit
+            M = vs + x.N
+        elif x.v is not INF:
+            M = x.v
+    for neg, pairs in ((False, plus), (True, minus)):
+        for a, b in pairs:
+            ap = a.p
+            if b.p != ap:
+                raise ValueError(f"mixed primes {ap} and {b.p}")
+            if ap != p:
+                if p is not None:
+                    raise ValueError(f"mixed primes {p} and {ap}")
+                p = ap
+                pw = _POWERS.get(p, ())
+            u, w = a.unit, b.unit
+            if u == 0 or w == 0:
+                if (u == 0 and a.v is INF) or (w == 0 and b.v is INF):
+                    continue
+                live = True
+                if a.v + b.v < M:
+                    M = a.v + b.v
+                continue
+            live = True
+            v = a.v + b.v
+            m = v + (a.N if a.N < b.N else b.N)
+            if m < M:
+                M = m
+            u = -u * w if neg else u * w
+            # digits at or above M never reach the result, so every
+            # exponent used below stays under the largest N in play
+            if vs is None:
+                vs, s = v, u
+            elif v >= vs:
+                if v < M:
+                    d = v - vs
+                    if len(pw) <= d:
+                        pw = _powers(p, d)
+                    s += u * pw[d]
+            elif vs < M:
+                d = vs - v
+                if len(pw) <= d:
+                    pw = _powers(p, d)
+                vs, s = v, s * pw[d] + u
+            else:
+                vs, s = v, u
+    if not live and x is not None:
+        return x
+    if M is INF:
+        return _ZEROS.get(p) or PadicScalar.zero(p)
+    if vs is None or vs >= M:
+        return PadicScalar(p, M, 0, 0)
+    width = M - vs
+    if len(pw) <= width:
+        pw = _powers(p, width)
+    s %= pw[width]
+    if s == 0:
+        return PadicScalar(p, M, 0, 0)
+    while s % p == 0:
+        s //= p
+        vs += 1
+    n = M - vs
+    return PadicScalar(p, vs, s % pw[n], n)

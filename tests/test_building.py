@@ -114,6 +114,68 @@ def test_det_multiplicative():
     assert healthy / total > 0.8, f"only {healthy}/{total} kept 12 digits"
 
 
+def _chained_mul(a, b):
+    """Reference product: each entry folded left to right by scalar ops."""
+    n = a.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i, 0] * b[0, j]
+            for k in range(1, n):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _chained_det(rows):
+    """Reference cofactor expansion by scalar ops, signs applied per term."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(n):
+        minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
+        term = rows[0][j] * _chained_det(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _mixed_matrix(ctx, rng):
+    """Entries of every kind: exact and approximate zeros, mixed N, v < 0."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.2:
+            return ctx.zero
+        if kind < 0.3:
+            return PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12))
+        u = rng.randrange(1, ctx.p**12)
+        return PadicScalar.from_unit(ctx.p, rng.randrange(-4, 6),
+                                     u if u % ctx.p else u + 1,
+                                     rng.randrange(1, N + 1))
+    return ctx.mat([[entry() for _ in range(ctx.n)] for _ in range(ctx.n)])
+
+
+def test_mul_and_det_match_chained_scalars():
+    def raw(x):
+        return (x.p, x.v, x.unit, x.N)
+
+    rng = random.Random(4)
+    for ctx in ALL_CTX:
+        for _ in range(150):
+            a = _mixed_matrix(ctx, rng)
+            b = rng.choice([_mixed_matrix(ctx, rng), ctx.random_element(rng)])
+            got = a * b
+            want = _chained_mul(a, b)
+            assert [[raw(x) for x in r] for r in got.rows] == \
+                [[raw(x) for x in r] for r in want]
+            for m in (a, b, got):
+                assert raw(m.det()) == raw(_chained_det(m.rows))
+
+
 # -- canonical flag representatives ------------------------------------------
 
 

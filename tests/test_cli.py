@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from buildinglab.cli import (
+    KIND_OF_SUBCOMMAND,
     ConfigError,
     PRESETS,
     emit_config,
@@ -32,6 +33,8 @@ def _reference_hashes():
 
 
 REFERENCE_HASHES = _reference_hashes()
+
+SUBCOMMAND_OF_KIND = {kind: cmd for cmd, kind in KIND_OF_SUBCOMMAND.items()}
 
 
 def test_config_roundtrip_idempotent():
@@ -310,3 +313,53 @@ def test_family_presets_at_low_precision(capsys, command, preset, precision):
     assert main([command, "--preset", preset,
                  "--precision", str(precision)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", 1), ("p", 0), ("p", -3), ("p", 6), ("p", 9), ("p", 2**32 + 15),
+    ("n", 1), ("n", 5), ("precision", 0), ("precision", -2),
+])
+def test_group_is_validated(field, value):
+    # parse_config only: with p = 1 the arithmetic would never return
+    data = dict(PRESETS["sl2-q3-transit"])
+    data["group"] = dict(data["group"], **{field: value})
+    with pytest.raises(ConfigError, match=r"'group\.%s'" % field):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("preset,group,argv", [
+    ("sl2-q3-transit", {}, ["--precision", "0"]),
+    ("sl2-q3-transit", {"p": 6}, []),
+    ("sl2-q3-transit", {"n": 5}, []),
+    ("sl2-q3-transit", {"precision": 0}, []),
+    ("decompositions", {"p": 6}, []),
+])
+def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv):
+    data = dict(PRESETS[preset])
+    if "group" in data:
+        data["group"] = dict(data["group"], **group)
+    else:
+        data["groups"] = [dict(data["groups"][0], **group)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    command = SUBCOMMAND_OF_KIND[data["kind"]]
+    assert main([command, "--config", str(path)] + argv) == 2
+    assert "config field 'group." in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,field", [
+    ("decompositions", "count"),
+    ("sl2-q3-dynamics", "chambers"),
+    ("sl2-q3-dynamics", "max_n"),
+    ("sl2-q3-dynamics", "gate_target"),
+    ("sl2-q3-transit", "steps"),
+    ("sl2-q3-transit", "targets"),
+    ("sl2-q3-transit", "radius"),
+])
+@pytest.mark.parametrize("value", ["ten", 2.5, True, None])
+def test_integer_params_exit_2(tmp_path, capsys, preset, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(PRESETS[preset], **{field: value})))
+    command = SUBCOMMAND_OF_KIND[PRESETS[preset]["kind"]]
+    assert main([command, "--config", str(path)]) == 2
+    assert "config field '%s'" % field in capsys.readouterr().err

@@ -4,7 +4,9 @@ These are deliberately small and explicit: each test pins one sign or
 side choice that the rest of the suite silently relies on.
 """
 
+import ast
 import random
+from pathlib import Path
 
 from buildinglab.building import (
     GroupContext,
@@ -124,3 +126,31 @@ def test_relative_residual_counts_algorithm_digits():
     k1, exps, k2 = cartan_decomposition(g)
     r = mat_agreement(k1 * ctx.diag(exps) * k2, g)
     assert r - g.min_val_floor() >= N - 2
+
+
+def _unused_imports(source: str):
+    """Names a module imports but never reads and does not export."""
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - used - exported)
+
+
+def test_no_unused_imports():
+    src = Path(__file__).resolve().parents[1] / "src" / "buildinglab"
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buildinglab.padic import (
+    _POWERS,
     DEFAULT_PRECISION,
     INF,
     NoSquareRoot,
     PadicScalar,
     PrecisionExhausted,
+    _fold,
     int_valuation,
 )
 
@@ -199,3 +201,88 @@ def test_ultrametric_inequality(a, b):
     # strict case: different valuations force equality
     if a != 0 and b != 0 and sa.v != sb.v and not s.is_zeroish():
         assert s.v == floor
+
+
+# -- the raw kernel against the chained scalar fold ---------------------------
+
+
+def chained_fold(x, plus, minus):
+    """Reference: ``x + a0*b0 + ... - c0*d0 - ...`` by scalar operators."""
+    acc = x
+    for a, b in plus:
+        acc = a * b if acc is None else acc + a * b
+    for a, b in minus:
+        acc = -(a * b) if acc is None else acc - a * b
+    return acc
+
+
+def _nonzero(p, v, u, n):
+    return PadicScalar.from_unit(p, v, u if u % p else u + 1, n)
+
+
+def scalars(primes):
+    prime = st.sampled_from(primes)
+    return st.one_of(
+        prime.map(PadicScalar.zero),
+        st.builds(PadicScalar.near_zero, prime, st.integers(-6, 12)),
+        st.builds(_nonzero, prime, st.integers(-5, 8),
+                  st.integers(1, 3**12), st.integers(1, 12)),
+    )
+
+
+def fold_args(primes):
+    """(x or None, plus pairs, minus pairs) with 1 to 5 terms in all."""
+    s = scalars(primes)
+    pair = st.tuples(s, s)
+
+    def of_sizes(sizes):
+        has_x, n_plus, n_minus = sizes
+        return st.tuples(s if has_x else st.none(),
+                         st.lists(pair, min_size=n_plus, max_size=n_plus),
+                         st.lists(pair, min_size=n_minus, max_size=n_minus))
+
+    sizes = st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 5))
+    return sizes.filter(lambda t: 1 <= sum(t) <= 5).flatmap(of_sizes)
+
+
+def raw(s):
+    return (s.p, s.v, s.unit, s.N)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fold_args((3,)))
+def test_fold_matches_chained_scalars(args):
+    x, plus, minus = args
+    # the second case cancels every product against itself
+    for plus, minus in ((plus, minus), (plus, plus)):
+        if x is None and not plus:
+            continue
+        got, want = _fold(x, plus, minus), chained_fold(x, plus, minus)
+        assert raw(got) == raw(want)
+        assert (got.v is INF) == (want.v is INF)
+
+
+@settings(max_examples=250, deadline=None)
+@given(fold_args((3, 5)))
+def test_fold_mixed_primes_raise_like_the_chain(args):
+    x, plus, minus = args
+    try:
+        want = chained_fold(x, plus, minus)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _fold(x, plus, minus)
+        assert str(info.value) == str(exc)
+    else:
+        assert raw(_fold(x, plus, minus)) == raw(want)
+
+
+def test_power_table_stays_within_precision():
+    # terms 2000 valuations apart still use only exponents below N
+    p = 101
+    hi = PadicScalar.from_unit(p, 1000, 2, 8)
+    lo = PadicScalar.from_unit(p, -1000, 3, 8)
+    one = PadicScalar.one(p, 8)
+    s = _fold(hi, [(lo, one)], [(one, hi)])
+    assert raw(s) == raw(chained_fold(hi, [(lo, one)], [(one, hi)]))
+    assert raw(hi + lo) == raw(lo)
+    assert len(_POWERS[p]) <= 2 * 9
