@@ -41,6 +41,8 @@ the bottom-most nonzero entry of each column.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -294,26 +296,48 @@ def _intersection_columns(ctx, a_cols, b_cols):
         [col[i] for col in a_cols] + [-col[i] for col in b_cols]
         for i in range(n)
     ]
-    out = []
-    for z in kernel_basis(ctx, rows, len(a_cols) + len(b_cols)):
-        vec = [ctx.zero] * n
-        for col, c in zip(a_cols, z[: len(a_cols)]):
-            for i in range(n):
-                vec[i] = vec[i] + col[i] * c
-        out.append(vec)
-    return out
+    return [_combine_columns(a_cols, z[: len(a_cols)])
+            for z in kernel_basis(ctx, rows, len(a_cols) + len(b_cols))]
+
+
+def _combine_columns(cols, coeffs):
+    """The column sum(c * col), one kernel call per entry.
+
+    Entry i is what the chain ``zero + col_0[i]*c_0 + col_1[i]*c_1 ...``
+    of scalar operators gives; cols must not be empty.
+    """
+    pairs = list(zip(cols, coeffs))
+    return [_fold(None, [(col[i], c) for col, c in pairs])
+            for i in range(len(cols[0]))]
 
 
 # ---------------------------------------------------------------------------
 # group context
 
 
+def _group_fault(n: int, p: int, precision: int) -> Optional[Tuple[str, str, int]]:
+    """(field, expectation, value) for the first of n, p, precision out of range.
+
+    None when the arithmetic can work in SL_n(Q_p) at that precision.
+    """
+    if not 2 <= n <= 4:
+        return "n", "2, 3 or 4", n
+    # trial division, bounded so that the check itself stays fast
+    if not (2 <= p < 2**32
+            and all(p % d for d in range(2, math.isqrt(p) + 1))):
+        return "p", "a prime below 2**32", p
+    if precision < 1:
+        return "precision", "at least 1", precision
+    return None
+
+
 class GroupContext:
     """Shared data for SL_n(Q_p) work at one precision level."""
 
     def __init__(self, n: int, p: int, precision: int = 32):
-        if n < 2 or n > 4:
-            raise ValueError("supported ranks are n = 2, 3, 4")
+        fault = _group_fault(n, p, precision)
+        if fault is not None:
+            raise ValueError("group %s: expected %s, got %r" % fault)
         self.n = n
         self.p = p
         self.precision = precision
@@ -373,11 +397,12 @@ class GroupContext:
     def full_dims(self) -> Tuple[int, ...]:
         return tuple(range(1, self.n))
 
-    @property
+    # built once per context: an IdealSimplex is immutable
+    @functools.cached_property
     def c_plus(self) -> "IdealSimplex":
         return boundary_simplex(self.identity, self.full_dims)
 
-    @property
+    @functools.cached_property
     def c_minus(self) -> "IdealSimplex":
         return boundary_simplex(self.reversal, self.full_dims)
 

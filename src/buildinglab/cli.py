@@ -14,7 +14,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import math
 import random
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -25,6 +24,7 @@ from .building import (
     AffineWeylCoset,
     GroupContext,
     Mat,
+    _group_fault,
     bruhat_cell,
     cartan_decomposition,
     iwahori_coset,
@@ -81,20 +81,11 @@ def _want(data: Dict[str, Any], field: str, types, where: str):
 
 
 def _check_group(group: Dict[str, Any]) -> None:
-    """Reject a group the arithmetic cannot work in."""
-    n, p, precision = group["n"], group["p"], group["precision"]
-    if not 2 <= n <= 4:
-        raise ConfigError(
-            "config field 'group.n': expected 2, 3 or 4, got %r" % n)
-    # trial division, bounded so that the check itself stays fast
-    if not (2 <= p < 2**32
-            and all(p % d for d in range(2, math.isqrt(p) + 1))):
-        raise ConfigError(
-            "config field 'group.p': expected a prime below 2**32, got %r" % p)
-    if precision < 1:
-        raise ConfigError(
-            "config field 'group.precision': expected at least 1, got %r"
-            % precision)
+    """Reject a group the arithmetic cannot work in (GroupContext's rule)."""
+    fault = _group_fault(group["n"], group["p"], group["precision"])
+    if fault is not None:
+        raise ConfigError("config field 'group.%s': expected %s, got %r"
+                          % fault)
 
 
 def parse_config(data: Any) -> ExperimentConfig:
@@ -475,6 +466,10 @@ def _run_transit(cfg: ExperimentConfig, rng: random.Random):
     steps = cfg.params.get("steps", 8)
     n_targets = cfg.params.get("targets", 20)
     radius = cfg.params.get("radius", 3)
+    if radius > ctx.precision:
+        # no target can agree deeper than the digits that are tracked
+        raise PrecisionExhausted("gate radius %d exceeds working precision %d"
+                                 % (radius, ctx.precision))
     certs = [dyn.classify(ctx.diag(tuple(k * e for e in base)))
              for k in range(1, steps + 1)]
     if any(c is None for c in certs):
@@ -690,10 +685,21 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.precision is not None:
-        if cfg.group is None:
+        if cfg.group is not None:
+            cfg.group = dict(cfg.group, precision=args.precision)
+            _check_group(cfg.group)
+        elif (cfg.kind == "decompositions"
+              and isinstance(cfg.params.get("groups"), list)):
+            groups = []
+            for desc in cfg.params["groups"]:
+                if not isinstance(desc, dict):
+                    raise ConfigError("config field 'group' must be an object")
+                groups.append(dict(desc, precision=args.precision))
+                # the same check each entry meets in _run_decompositions
+                parse_config({"kind": cfg.kind, "group": groups[-1]})
+            cfg.params["groups"] = groups
+        else:
             raise ConfigError("--precision needs a config with a group")
-        cfg.group = dict(cfg.group, precision=args.precision)
-        _check_group(cfg.group)
     if args.out is not None:
         cfg.out = args.out
     return cfg

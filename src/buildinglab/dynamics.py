@@ -11,6 +11,19 @@ Matrices with eigenvalue valuations that cannot be separated at working
 precision raise PrecisionExhausted rather than guessing; eigenvalues
 with fractional valuation raise RamifiedSlopes since the lattice model
 here only tracks integral translation vectors.
+
+The boundary loops compute each fixed quantity once per call, and every
+value they reuse is a pure function of immutable inputs, so results are
+exactly those of recomputing it.  ``limit_boundary`` recentres the
+predicted limit at the gate base once, recentres each iterate once (the
+previous one is carried forward when the hypothesis fails) and reuses
+the fixed-start test's translate as the first iterate.
+``verify_transit`` recentres the repelling simplex once and inverts
+each family element once, not once per target.  ``assumption_check``
+moves the gate face into frame coordinates once for both the
+block-splitting test and the stable refinement.  Sums of products
+(polynomial coefficients, column combinations) are one call each to the
+raw kernel ``padic._fold``.
 """
 
 import itertools
@@ -20,16 +33,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .padic import INF, PadicScalar, PrecisionExhausted
+from .padic import INF, PadicScalar, PrecisionExhausted, _fold
 from . import coxeter
 from .building import (
     IdealSimplex,
     Mat,
+    _combine_columns,
     boundary_simplex,
     chamber_of,
     dims_of_type,
     kernel_basis,
-    mat_agreement,
     matrix_rank,
     opposite,
     parabolic_membership,
@@ -57,11 +70,13 @@ def characteristic_polynomial(g: Mat) -> Tuple[PadicScalar, ...]:
     n = g.n
 
     def poly_mul(a, b):
-        out = [ctx.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return out
+        # coefficient k sums a_i * b_(k-i) by increasing i, in one kernel call
+        return [
+            _fold(None, [(a[i], b[k - i])
+                         for i in range(max(0, k - len(b) + 1),
+                                        min(k, len(a) - 1) + 1)])
+            for k in range(len(a) + len(b) - 1)
+        ]
 
     acc = [ctx.zero] * (n + 1)
     for sigma in itertools.permutations(range(n)):
@@ -323,6 +338,21 @@ class GateMeasure:
     radius: float
 
 
+def _centre(ctx, base: Sequence[int]) -> Mat:
+    """The diagonal matrix whose translates recentre simplices at base."""
+    if len(base) != ctx.n:
+        raise ValueError("base vertex has wrong rank")
+    return ctx.diag(tuple(-b for b in base))
+
+
+def _radius(a: IdealSimplex, b: IdealSimplex) -> float:
+    """Agreement depth of two recentred simplices: one difference matrix."""
+    diff = [x for row in (a.canon - b.canon).rows for x in row]
+    if all(x.is_zeroish() for x in diff):
+        return INF
+    return min(x.val_floor() for x in diff)
+
+
 def agreement_gate(
     base: Sequence[int], s1: IdealSimplex, s2: IdealSimplex
 ) -> GateMeasure:
@@ -330,22 +360,16 @@ def agreement_gate(
 
     Radius is the minimal valuation of the difference of the
     recentered canonical representatives, +inf when they coincide
-    within working precision.
+    within working precision.  Each call recentres both simplices and
+    forms one difference matrix; loops that compare many simplices
+    against a fixed one (``limit_boundary``, ``verify_transit``)
+    recentre the fixed one once per call instead, through the same
+    private pair ``_centre`` / ``_radius``.
     """
     if s1.dims != s2.dims:
         raise ValueError("agreement gate needs simplices of equal type")
-    ctx = s1.ctx
-    if len(base) != ctx.n:
-        raise ValueError("base vertex has wrong rank")
-    T = ctx.diag(tuple(-b for b in base))
-    a = s1.translate(T)
-    b = s2.translate(T)
-    diff = a.canon - b.canon
-    if all(
-        diff[i, j].is_zeroish() for i in range(ctx.n) for j in range(ctx.n)
-    ):
-        return GateMeasure(tuple(base), INF)
-    return GateMeasure(tuple(base), mat_agreement(a.canon, b.canon))
+    T = _centre(s1.ctx, base)
+    return GateMeasure(tuple(base), _radius(s1.translate(T), s2.translate(T)))
 
 
 def gate_contains(
@@ -412,13 +436,15 @@ def _eigen_classes(cert: HyperbolicCertificate) -> List[List[int]]:
     return classes
 
 
-def _block_adapted(cert: HyperbolicCertificate, s: IdealSimplex) -> bool:
-    """Every flag subspace splits across the valuation blocks of the frame."""
-    ctx = s.ctx
+def _block_adapted(cert: HyperbolicCertificate, s_f: IdealSimplex) -> bool:
+    """Every flag subspace splits across the valuation blocks of the frame.
+
+    s_f is the simplex in frame coordinates, frame^-1 . s.
+    """
+    ctx = s_f.ctx
     n = ctx.n
-    s_f = s.translate(cert.frame.inv())
     blocks = _slope_blocks(cert)
-    for d in s.dims:
+    for d in s_f.dims:
         cols = _columns(s_f.canon, d)
         total = 0
         for blk in blocks:
@@ -430,22 +456,21 @@ def _block_adapted(cert: HyperbolicCertificate, s: IdealSimplex) -> bool:
 
 
 def _stable_refinement(
-    cert: HyperbolicCertificate, tau: IdealSimplex
+    cert: HyperbolicCertificate, s_f: IdealSimplex
 ) -> IdealSimplex:
     """Chamber containing tau, adapted to the frame and fixed by the element.
 
-    Built in frame coordinates by extending each flag member one
-    eigenvector at a time: a new direction is always drawn from the
-    intersection of the next member with a single eigenvalue class, so
-    every intermediate subspace stays invariant and block-split.
+    s_f is tau in frame coordinates, frame^-1 . tau.  The chamber is
+    built there by extending each flag member one eigenvector at a time:
+    a new direction is always drawn from the intersection of the next
+    member with a single eigenvalue class, so every intermediate
+    subspace stays invariant and block-split.
     """
-    ctx = tau.ctx
+    ctx = s_f.ctx
     n = ctx.n
-    F = cert.frame
-    s_f = tau.translate(F.inv())
     classes = _eigen_classes(cert)
     chain: List[List[PadicScalar]] = []
-    checkpoints = list(tau.dims) + [n]
+    checkpoints = list(s_f.dims) + [n]
     for d_next in checkpoints:
         target = _columns(s_f.canon, d_next)
         while len(chain) < d_next:
@@ -455,13 +480,7 @@ def _stable_refinement(
                 ker = kernel_basis(
                     ctx, _rows_of_columns(target, outside), len(target)
                 )
-                inter = []
-                for x in ker:
-                    vec = [ctx.zero] * n
-                    for col, c in zip(target, x):
-                        for i in range(n):
-                            vec[i] = vec[i] + col[i] * c
-                    inter.append(vec)
+                inter = [_combine_columns(target, x) for x in ker]
                 if chain:
                     cur = len(chain) - matrix_rank(
                         ctx, _rows_of_columns(chain, outside)
@@ -483,7 +502,7 @@ def _stable_refinement(
                     "could not refine a fixed chamber at working precision"
                 )
     rows = [[chain[j][i] for j in range(n)] for i in range(n)]
-    return boundary_simplex(F * Mat(ctx, rows), ctx.full_dims)
+    return boundary_simplex(cert.frame * Mat(ctx, rows), ctx.full_dims)
 
 
 # -- the projection hypothesis ------------------------------------------------
@@ -533,12 +552,13 @@ def assumption_check(
     w1 = ctx.weyl.min_double_coset_rep(I_res, w_fc, J_res)
     K = ctx.weyl.parabolic_intersection(I_res, w1, J_res)
     tau = f0.face(dims_of_type(ctx.n, K))
-    ok = _block_adapted(cert, tau) and parabolic_membership(
+    tau_f = tau.translate(cert.frame.inv())
+    ok = _block_adapted(cert, tau_f) and parabolic_membership(
         cert.element, tau, depth
     )
     if not ok:
         return AssumptionReport(False, None, tau, K, w1.word)
-    witness = _stable_refinement(cert, tau)
+    witness = _stable_refinement(cert, tau_f)
     return AssumptionReport(True, witness, tau, K, w1.word)
 
 
@@ -590,16 +610,22 @@ def limit_boundary(
     g = cert.element
 
     report = assumption_check(cert, xi)
-    if parabolic_membership(g, xi):
+    # the fixed-start test translates xi once; that is also the first iterate
+    first = xi.translate(g)
+    if first.same(xi):
         return LimitReport(
             "converged", xi, xi, None, [(0, INF)], 0, True, r_target, report
         )
+    # the gate centre is fixed, and each iterate is recentred once
+    T = _centre(ctx, base)
+    trace: List[Tuple[int, float]] = []
     if not report.satisfied:
-        trace: List[Tuple[int, float]] = []
-        prev = xi
+        prev = xi.translate(T)
+        y = xi
         for n in range(1, max_n + 1):
-            cur = prev.translate(g)
-            trace.append((n, agreement_gate(base, prev, cur).radius))
+            y = first if n == 1 else y.translate(g)
+            cur = y.translate(T)
+            trace.append((n, _radius(prev, cur)))
             prev = cur
         return LimitReport(
             "hypothesis-not-satisfied",
@@ -632,15 +658,16 @@ def limit_boundary(
             "no apartment through the attracting simplex and the witness"
         )
 
-    trace = []
-    y = xi
-    r0 = agreement_gate(base, y, eta).radius
+    x0 = xi.translate(T)
+    eta_c = eta.translate(T)
+    r0 = _radius(x0, eta_c)
     trace.append((0, r0))
     first_n: Optional[int] = 0 if r0 >= r_target else None
+    y = xi
     if first_n is None:
         for n in range(1, max_n + 1):
-            y = y.translate(g)
-            r = agreement_gate(base, y, eta).radius
+            y = first if n == 1 else y.translate(g)
+            r = _radius(y.translate(T), eta_c)
             trace.append((n, r))
             if r >= r_target:
                 first_n = n
@@ -708,14 +735,19 @@ def verify_transit(
     for t in targets:
         if not opposite(sp, t):
             raise ValueError("target is not opposite the attracting simplex")
+        if t.dims != sm.dims:
+            raise ValueError("agreement gate needs simplices of equal type")
 
+    # the gate centre and the pull-backs do not depend on the target
+    T = _centre(sm.ctx, measure.base)
+    sm_c = sm.translate(T)
+    pullbacks = [c.element.inv() for c in certs]
     out: List[TransitTarget] = []
     for idx, t in enumerate(targets):
-        absorbed = []
-        for c in certs:
-            pulled = t.translate(c.element.inv())
-            r = agreement_gate(measure.base, sm, pulled).radius
-            absorbed.append(r >= measure.radius)
+        absorbed = [
+            _radius(sm_c, t.translate(h).translate(T)) >= measure.radius
+            for h in pullbacks
+        ]
         first = next((j for j, a in enumerate(absorbed) if a), None)
         cofinal = first is not None and all(absorbed[first:])
         out.append(TransitTarget(idx, first, cofinal))

@@ -27,6 +27,7 @@ from buildinglab.building import (
     unipotent_radical_element,
     weyl_distance,
 )
+from buildinglab.building import _combine_columns
 from buildinglab.coxeter import permutation_from_weyl, weyl_from_permutation
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
 
@@ -174,6 +175,42 @@ def test_mul_and_det_match_chained_scalars():
                 [[raw(x) for x in r] for r in want]
             for m in (a, b, got):
                 assert raw(m.det()) == raw(_chained_det(m.rows))
+
+
+def test_combine_columns_matches_chained_scalars():
+    def raw(x):
+        return (x.p, x.v, x.unit, x.N)
+
+    rng = random.Random(5)
+    for ctx in ALL_CTX:
+        for _ in range(150):
+            k = rng.randrange(1, ctx.n + 1)
+            cols = [list(r) for r in _mixed_matrix(ctx, rng).rows[:k]]
+            coeffs = list(_mixed_matrix(ctx, rng).rows[0][:k])
+            want = []
+            for i in range(ctx.n):
+                acc = ctx.zero
+                for col, c in zip(cols, coeffs):
+                    acc = acc + col[i] * c
+                want.append(raw(acc))
+            assert [raw(x) for x in _combine_columns(cols, coeffs)] == want
+
+
+@pytest.mark.parametrize("n,p,precision", [
+    (1, 3, 32), (5, 3, 32), (2, 1, 32), (2, 6, 32), (2, 9, 32),
+    (2, 2**32 + 15, 32), (2, 3, 0), (3, 5, -2),
+])
+def test_group_context_rejects_bad_groups(n, p, precision):
+    with pytest.raises(ValueError, match="group "):
+        GroupContext(n, p, precision)
+
+
+def test_reference_chambers_built_once():
+    for ctx in ALL_CTX:
+        assert ctx.c_plus is ctx.c_plus
+        assert ctx.c_minus is ctx.c_minus
+        assert ctx.c_plus.same(boundary_simplex(ctx.identity, ctx.full_dims))
+        assert ctx.c_minus.same(boundary_simplex(ctx.reversal, ctx.full_dims))
 
 
 # -- canonical flag representatives ------------------------------------------

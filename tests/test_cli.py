@@ -347,6 +347,31 @@ def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv):
     assert "config field 'group." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precision,code", [(16, 0), (0, 2)])
+def test_decomp_precision_applies_to_every_group(tmp_path, capsys,
+                                                 precision, code):
+    out = tmp_path / "r"
+    assert main(["decomp", "--preset", "decompositions", "--precision",
+                 str(precision), "--out", str(out)]) == code
+    if code == 0:
+        body = json.load(open(out / "report.json"))
+        assert [g["precision"] for g in body["config"]["groups"]] == [16, 16]
+        assert [g["precision"] for g in body["result"]["groups"]] == [16, 16]
+    else:
+        assert "config field 'group.precision'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision,code", [(1, 3), (2, 3), (3, 0)])
+@pytest.mark.parametrize("preset", ["sl2-q3-transit", "sl3-q3-transit"])
+def test_transit_radius_beyond_precision_exits_3(capsys, preset,
+                                                 precision, code):
+    # radius 3 cannot be certified with fewer than 3 tracked digits
+    assert main(["transit", "--preset", preset,
+                 "--precision", str(precision)]) == code
+    err = capsys.readouterr().err
+    assert ("exceeds working precision" in err) == (code == 3)
+
+
 @pytest.mark.parametrize("preset,field", [
     ("decompositions", "count"),
     ("sl2-q3-dynamics", "chambers"),

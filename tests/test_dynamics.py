@@ -7,11 +7,13 @@ is checked against them.  Characteristic polynomials are checked
 against an integer cofactor oracle that never touches the p-adic code.
 """
 
+import itertools
 import math
 import random
 
 import pytest
 
+from buildinglab import building
 from buildinglab.building import (
     GroupContext,
     boundary_simplex,
@@ -35,7 +37,7 @@ from buildinglab.dynamics import (
     verify_transit,
 )
 from buildinglab.dynamics import _mat_power
-from buildinglab.padic import INF, PrecisionExhausted
+from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
 
 N = 32
 
@@ -136,6 +138,56 @@ def test_char_poly_matches_integer_oracle():
                     assert w == 0 or oracle_valuation(w, 3) >= c.val_floor()
                 else:
                     assert c.residue(10) == w % 3 ** 10
+
+
+def _chained_char_poly(g):
+    """Reference det(x - g): products and sums folded by scalar operators."""
+    ctx, n = g.ctx, g.n
+
+    def poly_mul(a, b):
+        out = [ctx.zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+        return out
+
+    acc = [ctx.zero] * (n + 1)
+    for sigma in itertools.permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n)
+                  if sigma[i] > sigma[j])
+        term = [ctx.one if inv % 2 == 0 else -ctx.one]
+        for i in range(n):
+            e = -g[i, sigma[i]]
+            term = poly_mul(term, [e, ctx.one] if sigma[i] == i else [e])
+        for k, c in enumerate(term):
+            acc[k] = acc[k] + c
+    return tuple(acc)
+
+
+def test_char_poly_matches_chained_scalars():
+    def raw(x):
+        return (x.p, x.v, x.unit, x.N)
+
+    def entry(ctx, rng):
+        kind = rng.random()
+        if kind < 0.2:
+            return ctx.zero
+        if kind < 0.3:
+            return PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12))
+        u = rng.randrange(1, ctx.p**12)
+        return PadicScalar.from_unit(ctx.p, rng.randrange(-4, 6),
+                                     u if u % ctx.p else u + 1,
+                                     rng.randrange(1, N + 1))
+
+    rng = random.Random(42)
+    for n in (2, 3, 4):
+        ctx = GroupContext(n, 3)
+        for _ in range(40):
+            g = ctx.mat([[entry(ctx, rng) for _ in range(n)]
+                         for _ in range(n)])
+            got = characteristic_polynomial(g)
+            assert [raw(c) for c in got] == \
+                [raw(c) for c in _chained_char_poly(g)]
 
 
 def test_char_poly_pinned_rotation():
@@ -481,6 +533,85 @@ def test_limit_boundary_rotation_stalls():
     assert [r for _, r in rep2.trace[:4]] == [0, 3, 6, 9]
 
 
+def _trace_by_gates(cert, xi, rep, base):
+    """limit_boundary's trace, one public agreement gate per step."""
+    g = cert.element
+    out = []
+    if rep.hypothesis.satisfied:
+        y = xi
+        for n, _ in rep.trace:
+            if n:
+                y = y.translate(g)
+            out.append((n, agreement_gate(base, y, rep.retraction_value).radius))
+    else:
+        prev = xi
+        for n, _ in rep.trace:
+            cur = prev.translate(g)
+            out.append((n, agreement_gate(base, prev, cur).radius))
+            prev = cur
+    return out
+
+
+@pytest.mark.parametrize("base", [None, "shifted"])
+def test_limit_boundary_trace_matches_agreement_gates(base):
+    ctx2 = GroupContext(2, 3)
+    ctx3 = GroupContext(3, 3)
+    rng = random.Random(55)
+    cases = [(classify(ctx2.diag((1, -1))), _line(ctx2, v, u), {})
+             for v, u in ((0, 1), (4, 1))]
+    cert3 = classify(ctx3.diag((1, 0, -1)))
+    cases += [(cert3, ctx3.c_plus.translate(ctx3.random_element(rng)), {})
+              for _ in range(3)]
+    # a target beyond reach keeps the converged branch running to max_n
+    cases.append((cert3, ctx3.c_plus.translate(ctx3.random_element(rng)),
+                  {"max_n": 6, "r_target": N}))
+    spin = _rotation_certificate(ctx3)
+    xi_bad = boundary_simplex(
+        ctx3.mat([[0, 1, 0], [0, 1, 1], [1, 0, 0]]), (1, 2)
+    )
+    cases.append((spin, xi_bad, {"max_n": 10}))
+    statuses = set()
+    for cert, xi, kw in cases:
+        n = xi.ctx.n
+        b = (0,) * n if base is None else tuple(range(n - 1, -n - 1, -2))
+        rep = limit_boundary(cert, xi, base=None if base is None else b, **kw)
+        statuses.add(rep.status)
+        assert rep.trace == _trace_by_gates(cert, xi, rep, b)
+    assert statuses == {"converged", "no-convergence",
+                        "hypothesis-not-satisfied"}
+
+
+@pytest.mark.parametrize("branch", ["satisfied", "not-satisfied"])
+def test_limit_boundary_step_costs_two_flags(monkeypatch, branch):
+    # one translate by the element and one recentring per extra step;
+    # the predicted limit is recentred once per call, not once per step
+    ctx = GroupContext(3, 3)
+    if branch == "satisfied":
+        cert = classify(ctx.diag((1, 0, -1)))
+        xi = ctx.c_plus.translate(ctx.random_element(random.Random(56)))
+    else:
+        cert = _rotation_certificate(ctx)
+        xi = boundary_simplex(
+            ctx.mat([[0, 1, 0], [0, 1, 1], [1, 0, 0]]), (1, 2)
+        )
+    real = building.boundary_simplex
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(building, "boundary_simplex", counted)
+    counts = []
+    for max_n in (3, 4, 5):
+        calls.clear()
+        rep = limit_boundary(cert, xi, max_n=max_n, r_target=N)
+        assert rep.status != "converged"
+        assert rep.trace[-1][0] == max_n
+        counts.append(len(calls))
+    assert [b - a for a, b in zip(counts, counts[1:])] == [2, 2]
+
+
 # -- transit through gate neighborhoods ------------------------------------------------
 
 
@@ -513,6 +644,42 @@ def test_verify_transit_guards():
     with pytest.raises(ValueError):
         # the attracting vertex itself is not opposite it
         verify_transit(certs, measure, [certs[0].sigma_plus])
+
+
+@pytest.mark.parametrize("shift", [0, -2, -6])
+def test_verify_transit_matches_agreement_gates(shift):
+    ctx2 = GroupContext(2, 3)
+    ctx3 = GroupContext(3, 3)
+    from buildinglab.building import unipotent_radical_element
+
+    rng = random.Random(57)
+    fams = [
+        ([classify(ctx2.diag((n, -n))) for n in range(1, 7)],
+         [_line(ctx2, v, u) for v, u in ((0, 1), (-1, 2), (2, 2), (-3, 1))],
+         GateMeasure((shift, -shift), 3)),
+    ]
+    certs3 = [classify(ctx3.diag((n, n, -2 * n))) for n in range(1, 6)]
+    targets3 = [
+        certs3[0].sigma_minus.translate(
+            unipotent_radical_element(certs3[0].sigma_plus, rng))
+        for _ in range(4)
+    ]
+    fams.append((certs3, targets3, GateMeasure((shift, 0, -shift), 4)))
+    for certs, targets, measure in fams:
+        rep = verify_transit(certs, measure, targets)
+        sm = certs[0].sigma_minus
+        for item, t in zip(rep.targets, targets):
+            absorbed = [
+                agreement_gate(measure.base, sm,
+                               t.translate(c.element.inv())).radius
+                >= measure.radius
+                for c in certs
+            ]
+            first = next((j for j, a in enumerate(absorbed) if a), None)
+            assert item.first_n == first
+            assert item.cofinal == (first is not None
+                                    and all(absorbed[first:]))
+        assert len(rep.targets) == len(targets)
 
 
 def test_verify_transit_sl3_family():
