@@ -315,19 +315,26 @@ def _combine_columns(cols, coeffs):
 # group context
 
 
+# field -> (expectation, test): the values of n, p and precision the
+# arithmetic can work with, checked in this order
+_GROUP_RULES = {
+    "n": ("2, 3 or 4", lambda n: 2 <= n <= 4),
+    # trial division, bounded so that the check itself stays fast
+    "p": ("a prime below 2**32", lambda p: 2 <= p < 2**32 and all(
+        p % d for d in range(2, math.isqrt(p) + 1))),
+    "precision": ("at least 1", lambda precision: precision >= 1),
+}
+
+
 def _group_fault(n: int, p: int, precision: int) -> Optional[Tuple[str, str, int]]:
     """(field, expectation, value) for the first of n, p, precision out of range.
 
     None when the arithmetic can work in SL_n(Q_p) at that precision.
     """
-    if not 2 <= n <= 4:
-        return "n", "2, 3 or 4", n
-    # trial division, bounded so that the check itself stays fast
-    if not (2 <= p < 2**32
-            and all(p % d for d in range(2, math.isqrt(p) + 1))):
-        return "p", "a prime below 2**32", p
-    if precision < 1:
-        return "precision", "at least 1", precision
+    values = {"n": n, "p": p, "precision": precision}
+    for field, (what, ok) in _GROUP_RULES.items():
+        if not ok(values[field]):
+            return field, what, values[field]
     return None
 
 

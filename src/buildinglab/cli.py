@@ -16,7 +16,8 @@ import hashlib
 import json
 import random
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, NoReturn, Optional,
+                    Sequence, Tuple)
 
 from .padic import INF, PrecisionExhausted
 from . import coxeter
@@ -24,7 +25,7 @@ from .building import (
     AffineWeylCoset,
     GroupContext,
     Mat,
-    _group_fault,
+    _GROUP_RULES,
     bruhat_cell,
     cartan_decomposition,
     iwahori_coset,
@@ -36,28 +37,111 @@ from . import dynamics as dyn
 from . import chabauty as ch
 
 
-KINDS = ("coxeter-oracle", "decompositions", "dynamics", "transit", "chabauty")
-
-MATRIX_KINDS = ("dynamics", "transit", "chabauty")
-
-# Top-level run parameters and the type the runners read them as.
-PARAM_TYPES = {
-    "count": int,
-    "chambers": int,
-    "max_n": int,
-    "gate_target": int,
-    "steps": int,
-    "targets": int,
-    "radius": int,
-}
-
-
 class ConfigError(ValueError):
     """Malformed experiment config; the message names the offending field."""
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema: one field table per kind, checked once by parse_config
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """A config field: a value of exactly `type` (a bool is no integer) that
+    passes each (expectation, test(value, group)) rule.  A callable default
+    is a function of the group.  `fields` is an object's own table; each
+    list entry is checked as the one field of `entry`, named by its key."""
+    type: type
+    default: Any = _REQUIRED
+    rules: Tuple[Tuple[str, Callable[[Any, Any], Any]], ...] = ()
+    fields: Optional[Dict[str, "_Field"]] = None
+    entry: Optional[Dict[str, "_Field"]] = None
+
+
+def _ints(v: Any, n: int) -> bool:
+    return type(v) is list and len(v) == n and all(type(x) is int for x in v)
+
+
+def _only(value: str) -> _Field:
+    return _Field(str, value, (("only %r is supported" % value,
+                                lambda v, g: v == value),))
+
+
+_TYPE_NAMES = {int: "integer", str: "string", list: "list", dict: "object"}
+_AT_LEAST_1 = (("expected at least 1", lambda v, g: v >= 1),)
+# the SL condition, and a translation that moves the boundary
+_EXPONENTS = (("expected n integers that sum to 0, not all zero",
+               lambda v, g: _ints(v, g["n"]) and sum(v) == 0 and any(v)),)
+_GROUP = _Field(dict, fields=dict(family=_only("SL"), **{
+    key: _Field(int, 32 if key == "precision" else _REQUIRED,
+                (("expected " + what, lambda v, g, ok=ok: ok(v)),))
+    for key, (what, ok) in _GROUP_RULES.items()}))
+_ROOT = {"kind": _Field(str), "seed": _Field(int, 0), "out": _Field(str, None)}
+
+_SCHEMA: Dict[str, Dict[str, _Field]] = {
+    "coxeter-oracle": {
+        "types": _Field(list, ["A2", "B2"], ((
+            "expected a non-empty list of names from "
+            + ", ".join(coxeter.CARTAN),
+            lambda v, g: v and all(type(x) is str and x in coxeter.CARTAN
+                                   for x in v)),)),
+    },
+    "decompositions": {
+        "groups": _Field(list, rules=(("expected a non-empty list",
+                                       lambda v, g: v),),
+                         entry={"group": _GROUP}),
+        "count": _Field(int, 100, _AT_LEAST_1),
+    },
+    "dynamics": {
+        "group": _GROUP,
+        "element": _Field(dict, rules=((
+            "expected 'exponents' (with optional 'units') or 'matrix'",
+            lambda v, g: ("exponents" in v) != ("matrix" in v)
+            and ("units" not in v or "exponents" in v)),), fields={
+                "exponents": _Field(list, None, _EXPONENTS),
+                "units": _Field(list, None, ((
+                    "expected n integers prime to p",
+                    lambda v, g: _ints(v, g["n"])
+                    and all(u % g["p"] for u in v)),)),
+                "matrix": _Field(list, None, ((
+                    "expected n rows of n integers",
+                    lambda v, g: len(v) == g["n"]
+                    and all(_ints(r, g["n"]) for r in v)),)),
+            }),
+        "chambers": _Field(int, 20, _AT_LEAST_1),
+        "max_n": _Field(int, 64, _AT_LEAST_1),
+        "gate_target": _Field(int, lambda g: g["precision"] - 4, _AT_LEAST_1),
+    },
+    "transit": {
+        "group": _GROUP,
+        "exponents": _Field(list, rules=_EXPONENTS),
+        "steps": _Field(int, 8, _AT_LEAST_1),
+        "targets": _Field(int, 20, _AT_LEAST_1),
+        "radius": _Field(int, 3, _AT_LEAST_1),
+    },
+    "chabauty": {
+        # the rotation subgroup is rank one, and its parameters need
+        # square roots, which padic takes for odd p only
+        "group": _GROUP._replace(rules=((
+            "expected n = 2 and an odd p",
+            lambda v, g: v["n"] == 2 and v["p"] != 2),)),
+        "subgroup": _Field(dict, {}, fields={
+            "kind": _only("involution"), "theta": _only("transpose-inverse")}),
+        "sequence": _Field(dict, {}, fields={
+            "type": _only("diagonal-powers"),
+            # diag(p^-a, p^a): the family the aimed selector implements
+            "exponents": _Field(list, [-1, 1], ((
+                "expected [-a, a] with a >= 1",
+                lambda v, g: _ints(v, 2) and -v[0] == v[1] >= 1),)),
+            "count": _Field(int, 12, _AT_LEAST_1),
+        }),
+        "budget": _Field(dict, {},
+                         fields={"tail": _Field(int, 6, _AT_LEAST_1)}),
+    },
+}
+
+KINDS = tuple(_SCHEMA)
 
 
 @dataclasses.dataclass
@@ -69,70 +153,72 @@ class ExperimentConfig:
     out: Optional[str] = None
 
 
-def _want(data: Dict[str, Any], field: str, types, where: str):
-    if field not in data:
-        raise ConfigError("config field '%s%s' is required" % (where, field))
-    val = data[field]
-    if not isinstance(val, types):
-        raise ConfigError(
-            "config field '%s%s': expected %s, got %r"
-            % (where, field, getattr(types, "__name__", types), val))
-    return val
+def _fail(path: str, rule: str, value: Any) -> NoReturn:
+    raise ConfigError("config field '%s': %s, got %r" % (path, rule, value))
 
 
-def _check_group(group: Dict[str, Any]) -> None:
-    """Reject a group the arithmetic cannot work in (GroupContext's rule)."""
-    fault = _group_fault(group["n"], group["p"], group["precision"])
-    if fault is not None:
-        raise ConfigError("config field 'group.%s': expected %s, got %r"
-                          % fault)
+def _with_defaults(data: Dict[str, Any], fields: Dict[str, _Field]):
+    return {key: data.get(key, spec.default) for key, spec in fields.items()}
+
+
+def _check_fields(data: Dict[str, Any], fields: Dict[str, _Field], where: str,
+                  kind: str, group=None) -> None:
+    """Check an object against a field table; rules see `group`, which the
+    table checks before any field whose rules read it."""
+    for key in data:
+        if key not in fields:
+            _fail(where + key, "unknown; expected one of " + ", ".join(fields),
+                  data[key])
+    for key, spec in fields.items():
+        path = where + key
+        if key not in data:
+            if spec.default is _REQUIRED:
+                raise ConfigError("config field '%s' is required for kind %r"
+                                  % (path, kind))
+            continue
+        value = data[key]
+        if type(value) is not spec.type:
+            _fail(path, "expected " + _TYPE_NAMES[spec.type], value)
+        if spec.fields is not None:
+            _check_fields(value, spec.fields, path + ".", kind, group)
+        for item in value if spec.entry is not None else ():
+            _check_fields(dict.fromkeys(spec.entry, item), spec.entry, where,
+                          kind)
+        for rule, test in spec.rules:
+            if not test(value, group):
+                _fail(path, rule, value)
 
 
 def parse_config(data: Any) -> ExperimentConfig:
+    """Check a config against its kind's field table, once.
+
+    The parsed config keeps its parameters exactly as given; runners read
+    them through `_param`, which falls back to the table defaults.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    kind = _want(data, "kind", str, "")
+    if "kind" not in data:
+        raise ConfigError("config field 'kind' is required")
+    kind = data["kind"]
     if kind not in KINDS:
-        raise ConfigError(
-            "config field 'kind' must be one of %s, got %r"
-            % (", ".join(KINDS), kind))
-    group: Optional[Dict[str, int]] = None
-    if "group" in data and data["group"] is not None:
-        raw = data["group"]
-        if not isinstance(raw, dict):
-            raise ConfigError("config field 'group' must be an object")
-        family = raw.get("family", "SL")
-        if family != "SL":
-            raise ConfigError(
-                "config field 'group.family': only 'SL' is supported, got %r"
-                % family)
-        group = {"family": "SL"}
-        for key, default in (("n", None), ("p", None), ("precision", 32)):
-            val = raw.get(key, default)
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(
-                    "config field 'group.%s': expected integer, got %r"
-                    % (key, val))
-            group[key] = val
-        _check_group(group)
-    elif kind in MATRIX_KINDS:
-        raise ConfigError("config field 'group' is required for kind %r" % kind)
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("config field 'seed': expected integer, got %r" % seed)
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("config field 'out': expected string, got %r" % out)
-    params = {k: v for k, v in data.items()
-              if k not in ("kind", "group", "seed", "out")}
-    for key, typ in PARAM_TYPES.items():
-        if key not in params:
-            continue
-        val = params[key]
-        if not isinstance(val, typ) or isinstance(val, bool):
-            raise ConfigError("config field '%s': expected %s, got %r"
-                              % (key, typ.__name__, val))
-    return ExperimentConfig(kind, group, seed, params, out)
+        raise ConfigError("config field 'kind' must be one of %s, got %r"
+                          % (", ".join(KINDS), kind))
+    group = data.get("group")
+    _check_fields(data, dict(_ROOT, **_SCHEMA[kind]), "", kind, group)
+    if group is not None:
+        group = _with_defaults(group, _GROUP.fields)
+    params = {k: v for k, v in data.items() if k not in _ROOT and k != "group"}
+    seed = data.get("seed", _ROOT["seed"].default)
+    return ExperimentConfig(kind, group, seed, params, data.get("out"))
+
+
+def _param(cfg: ExperimentConfig, path: str) -> Any:
+    """A config field as given, or its table default."""
+    value, fields = cfg.params, _SCHEMA[cfg.kind]
+    for key in path.split("."):
+        spec = fields[key]
+        value, fields = value.get(key, spec.default), spec.fields
+    return value(cfg.group) if callable(value) else value
 
 
 def emit_config(cfg: ExperimentConfig) -> Dict[str, Any]:
@@ -220,14 +306,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
     },
 }
 
-KIND_OF_SUBCOMMAND = {
-    "coxeter": "coxeter-oracle",
-    "decomp": "decompositions",
-    "dynamics": "dynamics",
-    "transit": "transit",
-    "chabauty": "chabauty",
-}
-
 DEFAULT_PRESET = {
     "coxeter": "coxeter-oracle",
     "decomp": "decompositions",
@@ -236,24 +314,21 @@ DEFAULT_PRESET = {
     "chabauty": "so2-sl2-q5",
 }
 
+KIND_OF_SUBCOMMAND = {cmd: PRESETS[name]["kind"]
+                      for cmd, name in DEFAULT_PRESET.items()}
+
 
 # ---------------------------------------------------------------------------
 # runners
 
 
-def _context(cfg: ExperimentConfig) -> GroupContext:
-    g = cfg.group
+def _context(group: Dict[str, Any]) -> GroupContext:
+    g = _with_defaults(group, _GROUP.fields)
     return GroupContext(g["n"], g["p"], precision=g["precision"])
 
 
 def _run_coxeter(cfg: ExperimentConfig, rng: random.Random):
-    names = cfg.params.get("types", ["A2", "B2"])
-    if (not isinstance(names, list) or not names
-            or not all(isinstance(n, str) and n in coxeter.CARTAN
-                       for n in names)):
-        raise ConfigError(
-            "config field 'types': expected a non-empty list of system "
-            "names from %s, got %r" % (", ".join(sorted(coxeter.CARTAN)), names))
+    names = _param(cfg, "types")
     out = {"types": {}}
     failures: List[str] = []
     for name in names:
@@ -335,16 +410,11 @@ def mild_element(ctx: GroupContext, rng: random.Random) -> Mat:
 
 
 def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
-    groups = cfg.params.get("groups")
-    if not groups:
-        raise ConfigError("config field 'groups' is required for decompositions")
-    count = cfg.params.get("count", 100)
+    count = _param(cfg, "count")
     report = {"groups": [], "count": count}
     failures = 0
-    for desc in groups:
-        sub = parse_config({"kind": "decompositions", "group": desc,
-                            "groups": []})
-        ctx = _context(sub)
+    for desc in _param(cfg, "groups"):
+        ctx = _context(desc)
         floor = ctx.precision - 2
         stats = {"n": ctx.n, "p": ctx.p, "precision": ctx.precision,
                  "cartan_min": INF, "iwasawa_min": INF, "bruhat_min": INF,
@@ -388,39 +458,27 @@ def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
     return (0 if failures == 0 else 1), report
 
 
-def _element_from_params(ctx: GroupContext, desc) -> Mat:
-    if not isinstance(desc, dict):
-        raise ConfigError("config field 'element' must be an object")
-    if "exponents" in desc:
-        exps = desc["exponents"]
-        if (not isinstance(exps, list) or len(exps) != ctx.n
-                or not all(isinstance(e, int) for e in exps)):
-            raise ConfigError(
-                "config field 'element.exponents': expected %d integers"
-                % ctx.n)
-        units = desc.get("units")
-        return ctx.diag(tuple(exps), units=tuple(units) if units else None)
-    if "matrix" in desc:
-        rows = desc["matrix"]
-        if (not isinstance(rows, list) or len(rows) != ctx.n
-                or any(len(r) != ctx.n for r in rows)):
-            raise ConfigError(
-                "config field 'element.matrix': expected %d x %d integers"
-                % (ctx.n, ctx.n))
-        return ctx.mat(rows)
-    raise ConfigError("config field 'element' needs 'exponents' or 'matrix'")
-
-
 def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
-    ctx = _context(cfg)
-    gamma = _element_from_params(ctx, cfg.params.get("element", {}))
-    chambers = cfg.params.get("chambers", 20)
-    max_n = cfg.params.get("max_n", 64)
-    r_target = cfg.params.get("gate_target", ctx.precision - 4)
+    ctx = _context(cfg.group)
+    element = _param(cfg, "element")
+    if "matrix" in element:
+        gamma = ctx.mat(element["matrix"])
+    else:
+        gamma = ctx.diag(element["exponents"], element.get("units"))
+    chambers = _param(cfg, "chambers")
+    max_n = _param(cfg, "max_n")
+    r_target = _param(cfg, "gate_target")
+    if not 1 <= r_target <= ctx.precision:
+        # agreement is certified only within the tracked digits, and a
+        # target below one digit certifies nothing
+        raise PrecisionExhausted("gate target %d is outside the working "
+                                 "precision 1..%d" % (r_target, ctx.precision))
     cert = dyn.classify(gamma, rng=rng)
-    if cert is None:
-        raise ConfigError("config element is elliptic; dynamics needs a "
-                          "hyperbolic element")
+    # the hypothesis check works in an eigenframe, which classify finds
+    # for diagonal elements only
+    if cert is None or cert.frame is None:
+        _fail("element", "expected a diagonal hyperbolic element",
+              "elliptic" if cert is None else "not diagonal")
     report = {
         "element": _mat_json(gamma),
         "exponents": list(cert.exps),
@@ -457,23 +515,17 @@ def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
 
 
 def _run_transit(cfg: ExperimentConfig, rng: random.Random):
-    ctx = _context(cfg)
-    base = cfg.params.get("exponents")
-    if (not isinstance(base, list) or len(base) != ctx.n
-            or not all(isinstance(e, int) for e in base)):
-        raise ConfigError("config field 'exponents': expected %d integers"
-                          % ctx.n)
-    steps = cfg.params.get("steps", 8)
-    n_targets = cfg.params.get("targets", 20)
-    radius = cfg.params.get("radius", 3)
+    ctx = _context(cfg.group)
+    base = _param(cfg, "exponents")
+    steps = _param(cfg, "steps")
+    n_targets = _param(cfg, "targets")
+    radius = _param(cfg, "radius")
     if radius > ctx.precision:
         # no target can agree deeper than the digits that are tracked
         raise PrecisionExhausted("gate radius %d exceeds working precision %d"
                                  % (radius, ctx.precision))
     certs = [dyn.classify(ctx.diag(tuple(k * e for e in base)))
              for k in range(1, steps + 1)]
-    if any(c is None for c in certs):
-        raise ConfigError("config field 'exponents' must not be all zero")
     sp = certs[0].sigma_plus
     sm = certs[0].sigma_minus
     targets = []
@@ -496,19 +548,10 @@ def _run_transit(cfg: ExperimentConfig, rng: random.Random):
 
 
 def _run_chabauty(cfg: ExperimentConfig, rng: random.Random):
-    ctx = _context(cfg)
-    sub = cfg.params.get("subgroup", {"kind": "involution"})
-    if not isinstance(sub, dict) or sub.get("kind") != "involution":
-        raise ConfigError("config field 'subgroup.kind': only 'involution' "
-                          "is supported")
-    seq = cfg.params.get("sequence", {})
-    exps = seq.get("exponents", [-1, 1])
-    count = seq.get("count", 12)
-    if (not isinstance(exps, list) or len(exps) != ctx.n
-            or not all(isinstance(e, int) for e in exps)):
-        raise ConfigError("config field 'sequence.exponents': expected %d "
-                          "integers" % ctx.n)
-    tail = cfg.params.get("budget", {}).get("tail", 6)
+    ctx = _context(cfg.group)
+    exps = _param(cfg, "sequence.exponents")
+    count = _param(cfg, "sequence.count")
+    tail = _param(cfg, "budget.tail")
     spec = ch.so2_subgroup(ctx)
     certs = [dyn.classify(ctx.diag(tuple(k * e for e in exps)))
              for k in range(1, count + 1)]
@@ -658,6 +701,18 @@ def _write_out(out_dir: str, code: int, body: Dict[str, Any]) -> None:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _with_precision(data: Any, precision: int) -> Any:
+    """`data` with `precision` set on its group, or on every entry of `groups`;
+    what is not of that shape is left for parse_config to reject."""
+    def put(g):
+        return dict(g, precision=precision) if type(g) is dict else g
+    if type(data) is dict and "group" in data:
+        return dict(data, group=put(data["group"]))
+    if type(data) is dict and type(data.get("groups")) is list:
+        return dict(data, groups=[put(g) for g in data["groups"]])
+    raise ConfigError("--precision needs a config with a group")
+
+
 def _load_config(args) -> ExperimentConfig:
     if args.config and args.preset:
         raise ConfigError("--config and --preset are mutually exclusive")
@@ -677,6 +732,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError("config is not valid JSON: %s" % exc)
     else:
         data = dict(PRESETS[DEFAULT_PRESET[args.command]])
+    if args.precision is not None:
+        data = _with_precision(data, args.precision)
     cfg = parse_config(data)
     wanted = KIND_OF_SUBCOMMAND[args.command]
     if cfg.kind != wanted:
@@ -684,22 +741,6 @@ def _load_config(args) -> ExperimentConfig:
                           % (args.command, wanted, cfg.kind))
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.precision is not None:
-        if cfg.group is not None:
-            cfg.group = dict(cfg.group, precision=args.precision)
-            _check_group(cfg.group)
-        elif (cfg.kind == "decompositions"
-              and isinstance(cfg.params.get("groups"), list)):
-            groups = []
-            for desc in cfg.params["groups"]:
-                if not isinstance(desc, dict):
-                    raise ConfigError("config field 'group' must be an object")
-                groups.append(dict(desc, precision=args.precision))
-                # the same check each entry meets in _run_decompositions
-                parse_config({"kind": cfg.kind, "group": groups[-1]})
-            cfg.params["groups"] = groups
-        else:
-            raise ConfigError("--precision needs a config with a group")
     if args.out is not None:
         cfg.out = args.out
     return cfg
@@ -727,10 +768,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         code, body = run(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -349,29 +349,16 @@ class PadicScalar:
         return f"{self.p}^{self.v} * {self.unit} (mod {self.p}^{self.N})"
 
     def to_literal(self) -> str:
-        """Compact text form used in JSON reports: ``p^v*u``."""
+        """Compact text form ``p^v*u`` for ``Mat.__repr__``.
+
+        It drops the precision window; JSON reports use ``str()``, which
+        keeps it.
+        """
         if self.unit == 0:
             if self.v is INF:
                 return "0"
             return f"O({self.p}^{self.v})"
         return f"{self.p}^{self.v}*{self.unit}"
-
-    @classmethod
-    def from_literal(cls, text: str, p: int, N: int = DEFAULT_PRECISION) -> "PadicScalar":
-        text = text.strip()
-        if text == "0":
-            return cls.zero(p)
-        if text.startswith("O("):
-            inner = text[2:-1]
-            base, _, exp = inner.partition("^")
-            if int(base) != p:
-                raise ValueError(f"literal prime {base} does not match context prime {p}")
-            return cls.near_zero(p, int(exp))
-        head, _, unit = text.partition("*")
-        base, _, exp = head.partition("^")
-        if int(base) != p:
-            raise ValueError(f"literal prime {base} does not match context prime {p}")
-        return cls.from_unit(p, int(exp), int(unit), N)
 
 
 def _fold(x, plus=(), minus=()):

@@ -31,7 +31,6 @@ from buildinglab.building import (
 )
 from buildinglab.dynamics import (
     GateMeasure,
-    assumption_check,
     classify,
     conjugation_bounded,
     limit_boundary,
@@ -161,18 +160,21 @@ def test_3_translation_type_round_trip():
     )
 
 
-def _sampled_chambers(ctx, cert, rng, want):
+def _sampled_limits(ctx, cert, rng, want):
+    """Limit reports of the first `want` sampled chambers that satisfy the
+    axis hypothesis; limit_boundary checks it, once per chamber."""
     # integral translates reach every boundary chamber and keep the flag
     # coordinates shallow enough to certify near working precision
-    out = []
-    guard = 0
-    while len(out) < want:
-        guard += 1
-        assert guard < 40 * want, "chamber sampler starved"
+    kept = 0
+    for _ in range(40 * want):
         xi = ctx.c_plus.translate(ctx.random_gl_zp(rng))
-        if assumption_check(cert, xi).satisfied:
-            out.append(xi)
-    return out
+        rep = limit_boundary(cert, xi, max_n=64, r_target=N - 4, rng=rng)
+        if rep.hypothesis.satisfied:
+            yield rep
+            kept += 1
+            if kept == want:
+                return
+    raise AssertionError("chamber sampler starved")
 
 
 def test_4_boundary_limits_match_retraction():
@@ -188,8 +190,7 @@ def test_4_boundary_limits_match_retraction():
         cert = classify(ctx.diag(exps))
         rng = random.Random(20011 + ci)
         converged = 0
-        for xi in _sampled_chambers(ctx, cert, rng, 50):
-            rep = limit_boundary(cert, xi, max_n=64, r_target=N - 4, rng=rng)
+        for rep in _sampled_limits(ctx, cert, rng, 50):
             good = (
                 rep.status == "converged"
                 and rep.monotone

@@ -1,14 +1,23 @@
 """Config plumbing, runners, exit codes, and report determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from buildinglab.cli import (
+    _ROOT,
+    _SCHEMA,
     KIND_OF_SUBCOMMAND,
+    KINDS,
     ConfigError,
     PRESETS,
     emit_config,
@@ -388,3 +397,229 @@ def test_integer_params_exit_2(tmp_path, capsys, preset, field, value):
     command = SUBCOMMAND_OF_KIND[PRESETS[preset]["kind"]]
     assert main([command, "--config", str(path)]) == 2
     assert "config field '%s'" % field in capsys.readouterr().err
+
+
+def _preset_with(preset, **changes):
+    """A copy of a preset; a key "a.b" sets field b of the object a."""
+    data = json.loads(json.dumps(PRESETS[preset]))
+    for key, value in changes.items():
+        head, _, field = key.partition(".")
+        if field:
+            data[head] = dict(data.get(head, {}), **{field: value})
+        else:
+            data[head] = value
+    return data
+
+
+DYN = "sl2-q3-dynamics"
+TRANSIT = "sl2-q3-transit"
+SO2 = "so2-sl2-q5"
+
+
+@pytest.mark.parametrize("path,data", [
+    ("element.units", _preset_with(DYN, element={"exponents": [1, -1],
+                                                 "units": [1]})),
+    ("element.units", _preset_with(DYN, element={"exponents": [1, -1],
+                                                 "units": "ab"})),
+    ("element.units", _preset_with(DYN, element={"exponents": [1, -1],
+                                                 "units": [0, 1]})),
+    ("element.units", _preset_with(DYN, element={"exponents": [1, -1],
+                                                 "units": [3, 1]})),
+    ("element.matrix", _preset_with(DYN, element={"matrix": [["a", 0],
+                                                             [0, 1]]})),
+    ("element.matrix", _preset_with(DYN, element={"matrix": [1, 2]})),
+    ("element.exponents", _preset_with(DYN, element={"exponents": [True, -1]})),
+    ("element.exponents", _preset_with(DYN, element={"exponents": [1, 1]})),
+    ("element.exponents", _preset_with(DYN, element={"exponents": [0, 0]})),
+    ("element", _preset_with(DYN, element={"exponents": [1, -1],
+                                           "matrix": [[3, 0], [0, 1]]})),
+    # hyperbolic but not diagonal: classify finds no eigenframe for it
+    ("element", _preset_with(DYN, element={"matrix": [[1, 1], [0, 9]]})),
+    ("exponents", _preset_with(TRANSIT, exponents=[2, -1])),
+    ("exponents", _preset_with(TRANSIT, exponents=[True, -1])),
+    *[("sequence.exponents", _preset_with(SO2, **{"sequence.exponents": e}))
+      for e in ([1, 1], [1, -1], [2, -2])],
+    ("group", _preset_with(SO2, **{"group.n": 3,
+                                   "sequence.exponents": [-1, 0, 1]})),
+    ("group", _preset_with(SO2, **{"group.p": 2})),
+    ("sequence", _preset_with(SO2, sequence=[])),
+    ("budget", _preset_with(SO2, budget=5)),
+    ("sequence.count", _preset_with(SO2, **{"sequence.count": 0})),
+    ("sequence.count", _preset_with(SO2, **{"sequence.count": "3"})),
+    ("budget.tail", _preset_with(SO2, **{"budget.tail": "x"})),
+    ("budget.tail", _preset_with(SO2, **{"budget.tail": 0})),
+    ("steps", _preset_with(TRANSIT, steps=0)),
+    ("steps", _preset_with(TRANSIT, steps=-1)),
+    ("targets", _preset_with(TRANSIT, targets=0)),
+    ("targets", _preset_with(TRANSIT, targets=-2)),
+    ("radius", _preset_with(TRANSIT, radius=0)),
+    ("chambers", _preset_with(DYN, chambers=0)),
+    ("chambers", _preset_with(DYN, chambers=-1)),
+    ("max_n", _preset_with(DYN, max_n=0)),
+    ("gate_target", _preset_with(DYN, gate_target=0)),
+    ("count", _preset_with("decompositions", count=0)),
+    ("count", _preset_with("decompositions", count=-1)),
+    ("groups", _preset_with("decompositions", groups=5)),
+    ("chamber", _preset_with(DYN, chamber=5)),
+    ("sequence.type", _preset_with(SO2, **{"sequence.type": "other"})),
+    ("subgroup.theta", _preset_with(SO2, **{"subgroup.theta": "other"})),
+    ("group", {"kind": "coxeter-oracle", "types": ["A2"],
+               "group": {"n": 2, "p": 3}}),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main([SUBCOMMAND_OF_KIND[data["kind"]], "--config", str(cfg)]) == 2
+    assert "config field '%s'" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes,argv,code", [
+    ({"gate_target": 0}, [], 2),
+    ({"gate_target": -5}, [], 2),
+    ({"gate_target": 33}, [], 3),
+    ({"gate_target": 40}, [], 3),
+    ({}, ["--precision", "3"], 3),
+    ({}, ["--precision", "4"], 3),
+    ({}, ["--precision", "5"], 0),
+])
+def test_gate_target_must_be_certifiable(tmp_path, capsys, changes, argv, code):
+    # a target below one digit certifies nothing, and one above the
+    # working precision cannot be reached; the default is precision - 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_preset_with(DYN, chambers=4, **changes)))
+    assert main(["dynamics", "--config", str(cfg)] + argv) == code
+    err = capsys.readouterr().err
+    assert ("config field 'gate_target'" in err) == (code == 2)
+    assert ("precision exhausted: gate target" in err) == (code == 3)
+
+
+# values of the wrong type or nesting, for any field
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(-3, 3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["n", "x"]), st.integers(-2, 2),
+                    max_size=2))
+
+
+def _rarely(draw):
+    return draw(st.sampled_from(range(16))) == 9
+
+
+@st.composite
+def _mostly(draw, valid, other):
+    return draw(other if _rarely(draw) else valid)
+
+
+def _count(hi):
+    # capped so that a run takes well under a second
+    return _mostly(st.integers(1, hi), st.integers(-1, 0))
+
+
+@st.composite
+def _fields(draw, fields):
+    """An object drawn field by field; now and then a field is left out or
+    of the wrong type, and an unknown field is added."""
+    out = {}
+    for key, valid in fields.items():
+        if not _rarely(draw):
+            out[key] = draw(_mostly(valid, _JUNK))
+    if _rarely(draw):
+        out["extra"] = 1
+    return out
+
+
+def _exponents(n):
+    head = st.tuples(st.integers(1, 3), st.lists(
+        st.integers(-3, 3), min_size=n - 2, max_size=n - 2))
+    return _mostly(head.map(lambda h: [h[0]] + h[1] + [-h[0] - sum(h[1])]),
+                   st.lists(st.integers(-3, 3), max_size=5))
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    # the rotation subgroup of chabauty lives in SL2
+    n = draw(_mostly(st.just(2), st.integers(2, 4)) if kind == "chabauty"
+             else st.integers(2, 4))
+    group = _fields({"family": st.just("SL"), "n": st.just(n),
+                     "p": st.sampled_from([3, 5, 7, 2]),
+                     "precision": st.integers(1, 64)})
+    counts = {"count": _count(3), "chambers": _count(3), "max_n": _count(8),
+              "steps": _count(3), "targets": _count(3)}
+    ints = st.integers(-9, 9)
+    fields = {
+        "coxeter-oracle": lambda: {"types": st.lists(
+            st.sampled_from(["A2", "B2", "G2", "Z9"]), min_size=1, max_size=2)},
+        "decompositions": lambda: {
+            "groups": st.lists(group, min_size=1, max_size=2)},
+        "dynamics": lambda: {
+            "group": group,
+            "element": st.one_of(
+                _fields({"exponents": _exponents(n), "units": st.lists(
+                    st.sampled_from([1, -1, 2, 4, 3, 0]), min_size=n,
+                    max_size=n)}),
+                _fields({"matrix": st.lists(
+                    st.lists(ints, min_size=n, max_size=n),
+                    min_size=n, max_size=n)})),
+            "gate_target": _mostly(st.integers(1, 8), st.integers(-2, 70))},
+        "transit": lambda: {
+            "group": group, "exponents": _exponents(n),
+            "radius": _mostly(st.integers(1, 3), st.integers(-1, 70))},
+        "chabauty": lambda: {
+            "group": group,
+            "subgroup": _fields({"kind": st.just("involution"),
+                                 "theta": st.just("transpose-inverse")}),
+            "sequence": _fields({
+                "type": st.just("diagonal-powers"),
+                "exponents": _mostly(st.integers(1, 3).map(lambda a: [-a, a]),
+                                     _exponents(n)),
+                "count": _count(3)}),
+            "budget": _fields({"tail": _count(3)})},
+    }[kind]()
+    data = draw(_fields(dict(fields, kind=st.just(kind),
+                             seed=st.integers(0, 9))))
+    # a count left out would run at its default, which is not capped
+    for key in counts:
+        if key in _SCHEMA[kind] and key not in data:
+            data[key] = draw(counts[key])
+    if type(data.get("sequence")) is dict:
+        data["sequence"].setdefault("count", 3)
+    if type(data.get("budget")) is dict:
+        data["budget"].setdefault("tail", 3)
+    argv = [SUBCOMMAND_OF_KIND[kind]]
+    if draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(1, 64)))]
+    return data, argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_configs())
+def test_main_exit_code_contract_holds_for_any_config(case):
+    data, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv + ["--config", path])
+    assert type(code) is int and 0 <= code <= 3
+
+
+def _schema_paths(fields, where=""):
+    """Every field path of a table; list entries are named by their key."""
+    for key, spec in fields.items():
+        yield where + key
+        yield from _schema_paths(spec.fields or {}, where + key + ".")
+        yield from _schema_paths(spec.entry or {}, where)
+
+
+def test_readme_names_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config fields", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([\w.]+)`", section))
+    for kind, fields in _SCHEMA.items():
+        assert "### `%s`" % kind in section
+        missing = set(_schema_paths(dict(_ROOT, **fields))) - named
+        assert not missing, (kind, missing)
