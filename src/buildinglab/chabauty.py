@@ -35,50 +35,29 @@ from .dynamics import HyperbolicCertificate, _validate_family
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A bounded subgroup given by a sampler and a membership test.
+    """The rotation subgroup of SL2, given by its membership test.
 
-    kind is one of "involution-fixed" (fixed points of the
-    transpose-inverse involution, i.e. orthogonal elements), "generated"
-    (words in a finite list of generators), or "full" (no constraint).
+    Its elements are the fixed points of the transpose-inverse
+    involution, the orthogonal matrices; a context of any other rank
+    raises ValueError.
     """
 
     ctx: GroupContext
-    kind: str
     label: str
-    generators: Tuple[Mat, ...] = ()
+
+    def __post_init__(self):
+        if self.ctx.n != 2:
+            raise ValueError("rotation subgroup needs a rank-one context")
 
     def member(self, h: Mat, depth: Optional[int] = None) -> bool:
         if depth is None:
             depth = self.ctx.precision - 8
-        if self.kind == "involution-fixed":
-            return mat_agreement(h.transpose() * h, self.ctx.identity) >= depth
-        # words are members by construction and the full group accepts all
-        return True
-
-    def sample(self, rng: random.Random) -> Mat:
-        if self.kind == "involution-fixed":
-            return _sample_rotation(self.ctx, rng)
-        if self.kind == "generated":
-            return _sample_word(self.ctx, self.generators, rng)
-        return self.ctx.random_gl_zp(rng)
+        return mat_agreement(h.transpose() * h, self.ctx.identity) >= depth
 
 
 def so2_subgroup(ctx: GroupContext) -> SubgroupSpec:
     """Rotations [[a, b], [-b, a]] with a^2 + b^2 = 1, for n = 2."""
-    if ctx.n != 2:
-        raise ValueError("rotation subgroup needs a rank-one context")
-    return SubgroupSpec(ctx, "involution-fixed", "so2")
-
-
-def generated_subgroup(ctx: GroupContext, generators: Sequence[Mat],
-                       label: str = "generated") -> SubgroupSpec:
-    if not generators:
-        raise ValueError("generated subgroup needs at least one generator")
-    return SubgroupSpec(ctx, "generated", label, tuple(generators))
-
-
-def full_subgroup(ctx: GroupContext) -> SubgroupSpec:
-    return SubgroupSpec(ctx, "full", "full")
+    return SubgroupSpec(ctx, "so2")
 
 
 def rotation_element(ctx: GroupContext, b: PadicScalar) -> Mat:
@@ -101,32 +80,6 @@ def rotation_toward(ctx: GroupContext, x: PadicScalar) -> Mat:
     """
     a = (ctx.one + x * x).sqrt().inv()
     return ctx.mat([[a, x * a], [-x * a, a]])
-
-
-def _sample_rotation(ctx: GroupContext, rng: random.Random) -> Mat:
-    corners = ((1, 0), (-1, 0), (0, 1), (0, -1))
-    roll = rng.randrange(8)
-    if roll == 0:
-        a0, b0 = corners[rng.randrange(4)]
-        return ctx.mat([[ctx.s(a0), ctx.s(b0)], [ctx.s(-b0), ctx.s(a0)]])
-    u = rng.randrange(1, ctx.p ** 6)
-    if u % ctx.p == 0:
-        u += 1
-    small = ctx.s(u).shift(rng.randrange(1, 6))
-    if roll == 1:
-        # small a branch: the rotation close to the corner (0, 1)
-        b = (ctx.one - small * small).sqrt()
-        return ctx.mat([[small, b], [-b, small]])
-    return rotation_element(ctx, small)
-
-
-def _sample_word(ctx: GroupContext, gens: Tuple[Mat, ...],
-                 rng: random.Random) -> Mat:
-    alphabet = list(gens) + [g.inv() for g in gens]
-    out = ctx.identity
-    for _ in range(rng.randrange(1, 7)):
-        out = out * alphabet[rng.randrange(len(alphabet))]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,67 +189,45 @@ def _aimed_selector(spec: SubgroupSpec,
     return pick
 
 
-def _upper_unipotent(ctx: GroupContext, t: PadicScalar) -> Mat:
-    return ctx.mat([[ctx.one, t], [ctx.zero, ctx.one]])
-
-
 def chabauty_limit(spec: SubgroupSpec,
                    certs: Sequence[HyperbolicCertificate],
                    parameters: Optional[Sequence[PadicScalar]] = None,
-                   rng: Optional[random.Random] = None,
-                   scan: int = 12,
                    tail: int = 6,
                    depth: Optional[int] = None) -> ChabautyReport:
     """Collect certified limits of a_n h_n a_n^{-1} along the family.
 
-    For a rank-one rotation subgroup the search is aimed: each grid
-    parameter t gets the selector that pins the contracting matrix entry
-    to t, and success recovers t from the limit.  For other subgroup
-    kinds the search falls back to constant selectors over sampled
-    elements and keeps whichever traces happen to converge.  An empty
-    harvest is reported as inconclusive; finite sampling cannot certify
-    that the limit group is trivial.
+    The search is aimed: each parameter t (by default the grid of
+    ``default_parameter_grid``) gets the selector that pins the
+    contracting matrix entry to t, and success recovers t from the
+    limit.  A trace that does not certify its tail contributes no limit.
+    An empty harvest is reported as inconclusive; finitely many traces
+    cannot certify that the limit group is trivial.
     """
     _validate_family(certs)
     ctx = spec.ctx
     if depth is None:
         depth = ctx.precision - 4
-    if rng is None:
-        rng = random.Random(65537)
+    if parameters is None:
+        parameters = default_parameter_grid(ctx)
+    params = tuple(parameters)
     exponents = tuple(cert.exps for cert in certs)
-
-    aimed = spec.kind == "involution-fixed" and ctx.n == 2
-    if aimed:
-        if parameters is None:
-            parameters = default_parameter_grid(ctx)
-        params = tuple(parameters)
-        traces = [conjugate_trace(spec, certs, _aimed_selector(spec, certs, t),
-                                  tail=tail, depth=depth)
-                  for t in params]
-    else:
-        if parameters is not None:
-            raise ValueError("aimed parameters need a rotation subgroup")
-        params = ()
-        traces = []
-        for _ in range(scan):
-            h = spec.sample(rng)
-            traces.append(conjugate_trace(spec, certs, lambda k: h,
-                                          tail=tail, depth=depth))
+    traces = [conjugate_trace(spec, certs, _aimed_selector(spec, certs, t),
+                              tail=tail, depth=depth)
+              for t in params]
 
     limits: List[Mat] = []
     recovered: List[PadicScalar] = []
     errors: List[float] = []
-    for idx, tr in enumerate(traces):
+    for t, tr in zip(params, traces):
         if not tr.converged:
             continue
         limits.append(tr.limit)
-        if aimed:
-            got = tr.limit[0, 1]
-            recovered.append(got)
-            errors.append(float((got - params[idx]).val_floor()))
+        got = tr.limit[0, 1]
+        recovered.append(got)
+        errors.append(float((got - t).val_floor()))
 
     closure: Optional[bool] = None
-    if aimed and limits:
+    if limits:
         closure = _closure_samples(spec, certs, params, limits,
                                    tail=tail, depth=depth)
 
@@ -373,8 +304,6 @@ def check_OP(spec: SubgroupSpec,
     is the smallest probed radius beyond which every sample was solved.
     """
     ctx = spec.ctx
-    if ctx.n != 2:
-        raise ValueError("orbit probing is implemented for rank one")
     if rng is None:
         rng = random.Random(20127)
     if depth is None:
@@ -392,7 +321,7 @@ def check_OP(spec: SubgroupSpec,
             target = sigma.translate(
                 ctx.mat([[ctx.one, x], [ctx.zero, ctx.one]]))
             attempts += 1
-            h = _orbit_witness(spec, sigma, target, x, rng, depth)
+            h = _orbit_witness(spec, sigma, target, x, depth)
             if h is None:
                 good = False
                 continue
@@ -412,26 +341,16 @@ def check_OP(spec: SubgroupSpec,
 
 def _orbit_witness(spec: SubgroupSpec, sigma: IdealSimplex,
                    target: IdealSimplex, x: PadicScalar,
-                   rng: random.Random, depth: int) -> Optional[Mat]:
-    ctx = spec.ctx
-    if spec.kind == "involution-fixed":
-        try:
-            h = rotation_toward(ctx, x)
-        except NoSquareRoot:
-            return None
-    elif spec.kind == "full":
-        h = target.canon * sigma.canon.inv()
-    else:
-        for _ in range(120):
-            w = spec.sample(rng)
-            if sigma.translate(w).same(target, depth=depth):
-                return w
+                   depth: int) -> Optional[Mat]:
+    """The rotation carrying sigma onto target, verified; None when the
+    solve needs a missing square root or the verification fails."""
+    try:
+        h = rotation_toward(spec.ctx, x)
+    except NoSquareRoot:
         return None
-    if not spec.member(h):
-        return None
-    if not sigma.translate(h).same(target, depth=depth):
-        return None
-    return h
+    if spec.member(h) and sigma.translate(h).same(target, depth=depth):
+        return h
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +527,6 @@ def check_transP(spec: SubgroupSpec,
     """
     _validate_family(certs)
     ctx = spec.ctx
-    if ctx.n != 2 or spec.kind != "involution-fixed":
-        raise ValueError("witness transport is implemented for rank-one rotations")
     if depth is None:
         depth = ctx.precision - 4
     sigma_minus = certs[0].sigma_minus

@@ -20,7 +20,7 @@ from typing import (Any, Callable, Dict, List, NamedTuple, NoReturn, Optional,
                     Sequence, Tuple)
 
 from .padic import INF, PrecisionExhausted
-from . import coxeter
+from . import coxeter, oracles
 from .building import (
     AffineWeylCoset,
     GroupContext,
@@ -234,10 +234,6 @@ def emit_config(cfg: ExperimentConfig) -> Dict[str, Any]:
     return data
 
 
-def normalize_config(data: Any) -> Dict[str, Any]:
-    return emit_config(parse_config(data))
-
-
 PRESETS: Dict[str, Dict[str, Any]] = {
     "coxeter-oracle": {
         "kind": "coxeter-oracle",
@@ -328,71 +324,15 @@ def _context(group: Dict[str, Any]) -> GroupContext:
 
 
 def _run_coxeter(cfg: ExperimentConfig, rng: random.Random):
-    names = _param(cfg, "types")
-    out = {"types": {}}
+    out: Dict[str, Any] = {"types": {}}
     failures: List[str] = []
-    for name in names:
+    for name in _param(cfg, "types"):
         system = coxeter.get_system(name)
-        elements = system.elements()
-        subsets = [frozenset(s) for s in _subsets(range(system.rank))]
-        par = {I: system.parabolic(I) for I in subsets}
-        par_sets = {I: set(p) for I, p in par.items()}
-        checks = {"double-coset": 0, "residue-type": 0, "projection": 0,
-                  "separating-walls": 0, "hull-pairs": 0}
-        for w in elements:
-            for I in subsets:
-                for J in subsets:
-                    coset = {u * w * v for u in par[I] for v in par[J]}
-                    best = min(coset, key=lambda x: x.length)
-                    rep = system.min_double_coset_rep(I, w, J)
-                    n_min = sum(1 for x in coset if x.length == best.length)
-                    if rep != best or n_min != 1:
-                        failures.append("%s double-coset %r %s %r"
-                                        % (name, sorted(I), w.word, sorted(J)))
-                    checks["double-coset"] += 1
-                    K = system.parabolic_intersection(I, rep, J)
-                    brute = frozenset(
-                        i for i in I
-                        if rep.inverse() * system.simple(i) * rep
-                        in par_sets[J])
-                    if K != brute:
-                        failures.append("%s residue-type %r %s %r"
-                                        % (name, sorted(I), w.word, sorted(J)))
-                    checks["residue-type"] += 1
-        for c in elements:
-            for d in elements:
-                dist = (c.inverse() * d).length
-                walls = system.separating_walls(c, d)
-                if len(walls) != dist or walls != system.separating_walls(d, c):
-                    failures.append("%s separating %s %s" % (name, c, d))
-                checks["separating-walls"] += 1
-                hull = system.convex_hull(c, d)
-                walls_cd = system.separating_walls(c, d)
-                brute_hull = frozenset(
-                    x for x in elements
-                    if system.separating_walls(c, x) <= walls_cd)
-                if hull != brute_hull:
-                    failures.append("%s hull %s %s" % (name, c, d))
-                checks["hull-pairs"] += 1
-                for I in subsets:
-                    gate = system.min_coset_rep_left(I, c.inverse() * d)
-                    brute = min((u * (c.inverse() * d) for u in par[I]),
-                                key=lambda x: x.length)
-                    if gate != brute:
-                        failures.append("%s projection %r %s %s"
-                                        % (name, sorted(I), c, d))
-                    checks["projection"] += 1
-        out["types"][name] = {"order": len(elements), "checks": checks}
+        checks, failed = oracles.check_system(system)
+        out["types"][name] = {"order": system.order(), "checks": checks}
+        failures += failed
     out["failures"] = failures
     return (0 if not failures else 1), out
-
-
-def _subsets(idx) -> List[Tuple[int, ...]]:
-    idx = list(idx)
-    res: List[Tuple[int, ...]] = [()]
-    for i in idx:
-        res += [s + (i,) for s in res]
-    return res
 
 
 def mild_element(ctx: GroupContext, rng: random.Random) -> Mat:
@@ -555,7 +495,7 @@ def _run_chabauty(cfg: ExperimentConfig, rng: random.Random):
     spec = ch.so2_subgroup(ctx)
     certs = [dyn.classify(ctx.diag(tuple(k * e for e in exps)))
              for k in range(1, count + 1)]
-    rep = ch.chabauty_limit(spec, certs, rng=rng, tail=tail)
+    rep = ch.chabauty_limit(spec, certs, tail=tail)
     depth = ctx.precision - 4
     report: Dict[str, Any] = {
         "subgroup": rep.subgroup,

@@ -60,13 +60,6 @@ def _is_negative(v: Vec) -> bool:
     return all(x <= 0 for x in v) and any(x < 0 for x in v)
 
 
-def positive_form(v: Vec) -> Vec:
-    """Flip a root vector to its positive representative."""
-    if _is_negative(v):
-        return tuple(-x for x in v)
-    return v
-
-
 class WeylElement:
     """One element of a finite Weyl group: a handle on its system's tables.
 
@@ -97,9 +90,6 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         return self.system._inverses[self.index]
-
-    def apply_root(self, beta: Vec) -> Vec:
-        return _mat_vec(self.mat, beta)
 
     def apply_coweight(self, v: Vec) -> Vec:
         """Action on fundamental-coweight coordinates."""
@@ -291,10 +281,6 @@ class CoxeterSystem:
             else:
                 raise RuntimeError("conjugate of a generator is not a generator")
         return out
-
-    def opposite_type(self, I: Iterable[int]) -> FrozenSet[int]:
-        iota = self.opposition_involution()
-        return frozenset(iota[i] for i in I)
 
     # -- cosets and parabolic subgroups -------------------------------------
 

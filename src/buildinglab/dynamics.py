@@ -372,30 +372,6 @@ def agreement_gate(
     return GateMeasure(tuple(base), _radius(s1.translate(T), s2.translate(T)))
 
 
-def gate_contains(
-    measure: GateMeasure, center: IdealSimplex, candidate: IdealSimplex
-) -> bool:
-    return agreement_gate(measure.base, center, candidate).radius >= measure.radius
-
-
-def neighborhood_image(
-    cert: HyperbolicCertificate, measure: GateMeasure, n: int
-) -> GateMeasure:
-    """Gate parameters of the n-th translate of a gate neighborhood.
-
-    The element moves the base vertex along its translation vector and
-    preserves agreement depth exactly, so only the base changes.  Needs
-    a diagonal element; conjugated ones should transport the measure
-    through their frame first.
-    """
-    if cert.apartment_exps is None:
-        raise ValueError("neighborhood transport needs a diagonal element")
-    base = tuple(
-        b + n * e for b, e in zip(measure.base, cert.apartment_exps)
-    )
-    return GateMeasure(base, measure.radius)
-
-
 # -- linear algebra over the eigenframe --------------------------------------
 
 
@@ -597,12 +573,15 @@ def limit_boundary(
     near the repelling simplex shows up there as a stalling trace.
     The hypothesis check runs once per call, also for a start chamber
     the element fixes, and its report is the `hypothesis` field.
+    A gate target below 1 certifies nothing and raises ValueError.
     """
     ctx = xi.ctx
     if not xi.is_chamber():
         raise ValueError("limit dynamics starts from a chamber")
     if r_target is None:
         r_target = ctx.precision // 2
+    if not r_target >= 1:
+        raise ValueError("gate target must be at least 1, got %r" % (r_target,))
     if base is None:
         base = (0,) * ctx.n
     if rng is None:

@@ -46,7 +46,7 @@ def test_rotation_conjugation_identity_oracle():
             assert (g[0, 1] - t).is_zeroish()
             assert (g[1, 0] + t.shift(4 * n)).is_zeroish()
             assert (g[0, 0] - h[0, 0]).is_zeroish()
-            u = ch._upper_unipotent(ctx, t)
+            u = ctx.mat([[one, t], [ctx.zero, one]])
             diff = g - u
             floor = min(diff[i, j].val_floor() for i in range(2)
                         for j in range(2))
@@ -58,10 +58,16 @@ def test_rotation_sampler_membership():
     spec = ch.so2_subgroup(ctx)
     rng = random.Random(11)
     for _ in range(60):
-        h = spec.sample(rng)
+        # b of positive valuation always completes to a rotation
+        u = rng.randrange(1, 5 ** 6)
+        if u % 5 == 0:
+            u += 1
+        h = ch.rotation_element(ctx, ctx.s(u).shift(rng.randrange(1, 6)))
         assert spec.member(h)
         assert (h[0, 0] - h[1, 1]).is_zeroish()
         assert (h[0, 1] + h[1, 0]).is_zeroish()
+    assert spec.member(ctx.mat([[0, 1], [-1, 0]]))
+    assert not spec.member(ctx.mat([[1, 1], [0, 1]]))
     with pytest.raises(ValueError):
         ch.so2_subgroup(GroupContext(3, 5))
 
@@ -119,7 +125,8 @@ def test_chabauty_limit_recovers_aimed_grid():
     assert all(err >= N - 4 for err in rep.errors)
     assert rep.closure_checked is True
     for t, lim in zip(rep.parameters, rep.limits):
-        assert mat_agreement(lim, ch._upper_unipotent(ctx, t)) >= N - 4
+        upper = ctx.mat([[ctx.one, t], [ctx.zero, ctx.one]])
+        assert mat_agreement(lim, upper) >= N - 4
     # contraction rate of the first aimed trace, exact valuations
     assert rep.traces[0].agreements[:5] == (4.0, 8.0, 12.0, 16.0, 20.0)
     d = rep.traces[0].distances
@@ -142,39 +149,16 @@ def test_chabauty_limit_randomized_parameters():
     assert min(rep.errors) >= N - 4
 
 
-def test_chabauty_limit_trivial_and_torus():
-    ctx = _CTX
-    trivial = ch.generated_subgroup(ctx, [ctx.identity], "trivial")
-    rep = ch.chabauty_limit(trivial, _certs(), rng=random.Random(3))
-    assert rep.status == "ok"
-    ident = ctx.identity
-    assert all(mat_agreement(l, ident) >= N - 4 for l in rep.limits)
-    # a diagonal subgroup is fixed pointwise by the conjugation
-    torus = ch.generated_subgroup(
-        ctx, [ctx.diag((0, 0), units=(2, pow(2, -1, 5 ** 40)))], "torus")
-    rep_t = ch.chabauty_limit(torus, _certs(), rng=random.Random(3))
-    assert rep_t.status == "ok"
-    for l in rep_t.limits:
-        assert l[0, 1].is_zeroish() and l[1, 0].is_zeroish()
-    assert rep_t.recovered == ()
-
-
 def test_chabauty_limit_inconclusive_is_not_trivial():
-    ctx = _CTX
-    full = ch.full_subgroup(ctx)
-    rep = ch.chabauty_limit(full, _certs(), rng=random.Random(3))
-    # generic bounded elements have a nonzero upper entry, and the family
-    # blows that entry up; an empty harvest must NOT be read as L = {e}
-    assert rep.status == "inconclusive"
-    assert rep.limits == ()
-    assert not any(tr.converged for tr in rep.traces)
-
-
-def test_chabauty_limit_rejects_parameters_for_words():
-    ctx = _CTX
-    words = ch.generated_subgroup(ctx, [ctx.mat([[0, 1], [-1, 0]])])
-    with pytest.raises(ValueError, match="rotation subgroup"):
-        ch.chabauty_limit(words, _certs(), parameters=[ctx.one])
+    spec = ch.so2_subgroup(_CTX)
+    # a family too short for a certified tail of six agreements harvests
+    # nothing; the empty harvest must NOT be read as L = {e}
+    for count in (2, 4, 6, 7):
+        rep = ch.chabauty_limit(spec, _certs(count), tail=6)
+        assert rep.status == "inconclusive"
+        assert rep.limits == ()
+        assert rep.closure_checked is None
+        assert not any(tr.converged for tr in rep.traces)
 
 
 def test_check_op_rotation_radius_one():
@@ -189,20 +173,16 @@ def test_check_op_rotation_radius_one():
     assert verdict.shallow_failures == 6
 
 
-def test_check_op_full_group_and_word_subgroup():
-    ctx = _CTX
-    sigma = _certs(1)[0].sigma_minus
-    verdict = ch.check_OP(ch.full_subgroup(ctx), sigma)
-    assert verdict.status == "true-with-radius"
-    assert verdict.radius == 0
-    assert verdict.solved == verdict.attempts == 30
-    # words in a lower unipotent fix the repelling line, so the orbit is a
-    # point and the probe must come back unknown rather than false
-    lower = ch.generated_subgroup(ctx, [ctx.mat([[1, 0], [1, 1]])], "lower")
-    v2 = ch.check_OP(lower, sigma)
-    assert v2.status == "unknown"
-    assert v2.radius is None
-    assert v2.solved == 0
+def test_check_op_unit_radius_only_is_unknown():
+    spec = ch.so2_subgroup(_CTX)
+    # no unit-distance probe has a rotation witness, so probing radius 0
+    # alone must come back unknown rather than false
+    verdict = ch.check_OP(spec, _certs(1)[0].sigma_minus, radii=(0,))
+    assert verdict.status == "unknown"
+    assert verdict.radius is None
+    assert verdict.attempts == 6
+    assert verdict.solved == 0
+    assert verdict.shallow_failures == 6
 
 
 def test_decompose_limit_table_and_nrp():

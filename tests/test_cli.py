@@ -23,7 +23,6 @@ from buildinglab.cli import (
     emit_config,
     main,
     mild_element,
-    normalize_config,
     parse_config,
     run,
 )
@@ -54,8 +53,8 @@ def test_config_roundtrip_idempotent():
         "chambers": 4,
         "element": {"exponents": [1, -1]},
     }
-    once = normalize_config(messy)
-    assert once == normalize_config(once)
+    once = emit_config(parse_config(messy))
+    assert once == emit_config(parse_config(once))
     assert once["group"]["precision"] == 32
     assert once["group"]["family"] == "SL"
     # params fold back in sorted order after the fixed keys
@@ -94,8 +93,8 @@ def test_config_diagnostics():
 
 def test_presets_parse_and_so2_pin():
     for name, data in PRESETS.items():
-        cfg = parse_config(data)
-        assert emit_config(cfg) == normalize_config(data), name
+        once = emit_config(parse_config(data))
+        assert emit_config(parse_config(once)) == once, name
     so2 = parse_config(PRESETS["so2-sl2-q5"])
     assert so2.kind == "chabauty"
     assert so2.group == {"family": "SL", "n": 2, "p": 5, "precision": 32}

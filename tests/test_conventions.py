@@ -150,7 +150,9 @@ def _unused_imports(source: str):
 
 
 def test_no_unused_imports():
-    src = Path(__file__).resolve().parents[1] / "src" / "buildinglab"
-    found = {path.name: _unused_imports(path.read_text())
-             for path in sorted(src.glob("*.py"))}
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for pattern in ("src/buildinglab/*.py", "tests/*.py", "scripts/*.py")
+             for path in sorted(root.glob(pattern))]
+    found = {str(path.relative_to(root)): _unused_imports(path.read_text())
+             for path in paths}
     assert {name: names for name, names in found.items() if names} == {}

@@ -30,14 +30,12 @@ from buildinglab.dynamics import (
     classify,
     conjugation_bounded,
     fixes_min_boundary,
-    gate_contains,
     limit_boundary,
-    neighborhood_image,
     newton_slopes,
     verify_transit,
 )
 from buildinglab.dynamics import _mat_power
-from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
+from buildinglab.padic import INF, PadicScalar
 
 N = 32
 
@@ -380,24 +378,18 @@ def test_agreement_gate_face_monotone():
 
 
 def test_neighborhood_image_exact_transport():
+    """The n-th image of a gate neighborhood: gamma^n preserves agreement
+    depth and moves the gate base along its translation vector, so pulling
+    the target back by gamma^n and measuring at the base equals measuring
+    the target at the moved base (n, -n)."""
     ctx = GroupContext(2, 3)
     cert = classify(ctx.diag((1, -1)))
-    measure = GateMeasure((0, 0), 3)
     target = _line(ctx, -4, 2)
     for n in range(1, 7):
-        img = neighborhood_image(cert, measure, n)
-        assert img.radius == measure.radius
-        assert img.base == (n, -n)
         pulled = target.translate(_mat_power(cert.element, n).inv())
-        r_pull = agreement_gate(measure.base, cert.sigma_minus, pulled).radius
-        r_direct = agreement_gate(img.base, cert.sigma_minus, target).radius
+        r_pull = agreement_gate((0, 0), cert.sigma_minus, pulled).radius
+        r_direct = agreement_gate((n, -n), cert.sigma_minus, target).radius
         assert r_pull == r_direct == max(0, 2 * n - 4)
-        assert gate_contains(img, cert.sigma_minus, target) == (n >= 4)
-    rng = random.Random(49)
-    h = ctx.random_gl_zp(rng)
-    moved = classify(h * ctx.diag((1, -1)) * h.inv(), frame=h)
-    with pytest.raises(ValueError):
-        neighborhood_image(moved, measure, 1)
 
 
 # -- the projection hypothesis -----------------------------------------------------
@@ -505,6 +497,15 @@ def test_limit_boundary_sl3_retraction_and_witness_independence():
             assert rep2.retraction_value.same(
                 rep.retraction_value, int(rep.r_target) - 4
             )
+
+
+@pytest.mark.parametrize("r_target", [0, -3, 0.5])
+def test_limit_boundary_rejects_gate_target_below_one(r_target):
+    ctx = GroupContext(3, 3)
+    cert = classify(ctx.diag((1, 0, -1)))
+    xi = ctx.c_plus.translate(ctx.random_element(random.Random(58)))
+    with pytest.raises(ValueError, match="gate target"):
+        limit_boundary(cert, xi, r_target=r_target)
 
 
 def test_limit_boundary_rotation_stalls():

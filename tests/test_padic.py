@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from buildinglab.padic import (
     _POWERS,
-    DEFAULT_PRECISION,
     INF,
     NoSquareRoot,
     PadicScalar,
