@@ -26,6 +26,14 @@ a matrix product is one kernel call, each level of the cofactor
 expansion in ``Mat.det`` is one kernel call over the first row and the
 signed minors, and each entry touched by a row or column step
 (``x - c*y``, or ``x + c*y`` in the tracked inverse) is one kernel call.
+A product column with one entry that is not an exact zero skips the
+kernel: each of its entries is the one scalar product the kernel would
+return, and a column of exact zeros gives exact zeros.
+
+``random_gl_zp`` draws raw ``(v, unit)`` pairs with the same ``rng`` calls
+as ``random_zp`` and redraws when the residue matrix mod p is singular,
+before building any scalar; it accepts the same matrices, in the same
+random stream, as building every draw and testing its p-adic determinant.
 
 Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
 loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
@@ -108,9 +116,23 @@ class Mat:
         return self.rows[i][j]
 
     def __mul__(self, other: "Mat") -> "Mat":
-        cols = tuple(zip(*other.rows))
-        return Mat(self.ctx, [[_fold(None, zip(row, col)) for col in cols]
-                              for row in self.rows])
+        p = self.ctx.p
+        if other.ctx.p != p:
+            raise ValueError(f"mixed primes {p} and {other.ctx.p}")
+        rows, zero = self.rows, self.ctx.zero
+        out = []  # columns of the product
+        for col in zip(*other.rows):
+            live = [k for k, x in enumerate(col) if x.unit or x.v is not INF]
+            if len(live) == 1:
+                # the kernel over one live pair is exactly that scalar product
+                k = live[0]
+                b = col[k]
+                out.append([row[k] * b for row in rows])
+            elif live:
+                out.append([_fold(None, zip(row, col)) for row in rows])
+            else:
+                out.append([zero] * len(rows))
+        return Mat(self.ctx, zip(*out))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return Mat(
@@ -162,6 +184,14 @@ def _det(rows: Sequence[Sequence[PadicScalar]]) -> PadicScalar:
     terms = [(rows[0][j], _det([r[:j] + r[j + 1:] for r in rows[1:]]))
              for j in range(n)]
     return _fold(None, terms[0::2], terms[1::2])
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Cofactor expansion of an integer matrix along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-x if j % 2 else x) * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
 
 
 def mat_agreement(a: Mat, b: Mat):
@@ -338,6 +368,10 @@ def _group_fault(n: int, p: int, precision: int) -> Optional[Tuple[str, str, int
     return None
 
 
+# valuation steps of a random_zp draw, picked by one rng.choice
+_VAL_STEPS = (0, 0, 0, 1, 1, 2, 3)
+
+
 class GroupContext:
     """Shared data for SL_n(Q_p) work at one precision level."""
 
@@ -351,6 +385,7 @@ class GroupContext:
         self.weyl: CoxeterSystem = get_system(f"A{n - 1}")
         self.zero = PadicScalar.zero(p)
         self.one = PadicScalar.one(p, precision)
+        self._unit_bound = p ** min(precision, 8)
         # one shared instance: a Mat is immutable, and callers that need a
         # working copy copy its rows
         self.identity: Mat = self.mat(
@@ -415,30 +450,47 @@ class GroupContext:
 
     # -- samplers ----------------------------------------------------------
 
-    def random_unit(self, rng: random.Random) -> PadicScalar:
-        u = rng.randrange(1, self.p ** min(self.precision, 8))
-        while u % self.p == 0:
+    def _draw_unit(self, rng: random.Random) -> int:
+        """Raw unit below p**min(precision, 8), so already reduced mod p**precision."""
+        p = self.p
+        u = rng.randrange(1, self._unit_bound)
+        while u % p == 0:
             u += 1
-        return PadicScalar.from_unit(self.p, 0, u, self.precision)
+        return u
+
+    def _draw_zp(self, rng: random.Random, min_val: int = 0) -> Optional[Tuple[int, int]]:
+        """Raw (v, unit) of a random_zp draw; None for the exact zero."""
+        if rng.random() < 0.08:
+            return None
+        v = min_val + rng.choice(_VAL_STEPS)
+        return v, self._draw_unit(rng)
+
+    def random_unit(self, rng: random.Random) -> PadicScalar:
+        return PadicScalar(self.p, 0, self._draw_unit(rng), self.precision)
 
     def random_zp(self, rng: random.Random, min_val: int = 0) -> PadicScalar:
-        if rng.random() < 0.08:
-            return self.zero
-        v = min_val + rng.choice([0, 0, 0, 1, 1, 2, 3])
-        return self.random_unit(rng).shift(v)
+        d = self._draw_zp(rng, min_val)
+        return self.zero if d is None else PadicScalar(self.p, *d, self.precision)
 
     def random_gl_zp(self, rng: random.Random) -> Mat:
-        """Random element of GL_n(Z_p): integral with unit determinant."""
+        """Random element of GL_n(Z_p): integral with unit determinant.
+
+        A draw whose residue matrix mod p is singular is redrawn before any
+        scalar is built.  Every entry is integral and pinned modulo p at
+        least, so that test rejects exactly the draws whose p-adic
+        determinant fails to be a unit, which is still checked.
+        """
+        n, p, N = self.n, self.p, self.precision
         while True:
-            m = Mat(
-                self,
-                [
-                    [self.random_zp(rng) for _ in range(self.n)]
-                    for _ in range(self.n)
-                ],
-            )
-            d = m.det()
-            if not d.is_zeroish() and d.val_floor() == 0:
+            draws = [[self._draw_zp(rng) for _ in range(n)] for _ in range(n)]
+            residues = [[0 if d is None or d[0] else d[1] % p for d in row]
+                        for row in draws]
+            if _int_det(residues) % p == 0:
+                continue
+            m = Mat(self, [[self.zero if d is None else PadicScalar(p, *d, N)
+                            for d in row] for row in draws])
+            det = m.det()
+            if not det.is_zeroish() and det.val_floor() == 0:
                 return m
 
     def random_iwahori(self, rng: random.Random) -> Mat:

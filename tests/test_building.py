@@ -27,7 +27,7 @@ from buildinglab.building import (
     unipotent_radical_element,
     weyl_distance,
 )
-from buildinglab.building import _combine_columns
+from buildinglab.building import _combine_columns, _int_det
 from buildinglab.coxeter import permutation_from_weyl, weyl_from_permutation
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
 
@@ -160,10 +160,15 @@ def _mixed_matrix(ctx, rng):
     return ctx.mat([[entry() for _ in range(ctx.n)] for _ in range(ctx.n)])
 
 
-def test_mul_and_det_match_chained_scalars():
-    def raw(x):
-        return (x.p, x.v, x.unit, x.N)
+def _raw(x):
+    return (x.p, x.v, x.unit, x.N)
 
+
+def _raw_rows(rows):
+    return [[_raw(x) for x in r] for r in rows]
+
+
+def test_mul_and_det_match_chained_scalars():
     rng = random.Random(4)
     for ctx in ALL_CTX:
         for _ in range(150):
@@ -171,16 +176,12 @@ def test_mul_and_det_match_chained_scalars():
             b = rng.choice([_mixed_matrix(ctx, rng), ctx.random_element(rng)])
             got = a * b
             want = _chained_mul(a, b)
-            assert [[raw(x) for x in r] for r in got.rows] == \
-                [[raw(x) for x in r] for r in want]
+            assert _raw_rows(got.rows) == _raw_rows(want)
             for m in (a, b, got):
-                assert raw(m.det()) == raw(_chained_det(m.rows))
+                assert _raw(m.det()) == _raw(_chained_det(m.rows))
 
 
 def test_combine_columns_matches_chained_scalars():
-    def raw(x):
-        return (x.p, x.v, x.unit, x.N)
-
     rng = random.Random(5)
     for ctx in ALL_CTX:
         for _ in range(150):
@@ -192,8 +193,148 @@ def test_combine_columns_matches_chained_scalars():
                 acc = ctx.zero
                 for col, c in zip(cols, coeffs):
                     acc = acc + col[i] * c
-                want.append(raw(acc))
-            assert [raw(x) for x in _combine_columns(cols, coeffs)] == want
+                want.append(_raw(acc))
+            assert [_raw(x) for x in _combine_columns(cols, coeffs)] == want
+
+
+def _single_live_right(ctx, rng):
+    """Right factor whose columns are all-exact-zero, single-live or dense.
+
+    A single live entry is drawn like a dense one, so it may be an
+    approximate zero, and sits at a random row.
+    """
+    dense = _mixed_matrix(ctx, rng)
+    cols = []
+    for j in range(ctx.n):
+        kind = rng.randrange(3)
+        col = [ctx.zero] * ctx.n
+        if kind == 1:
+            k = rng.randrange(ctx.n)
+            col[k] = rng.choice([PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12)),
+                                 dense[k, j]])
+        elif kind == 2:
+            col = [dense[i, j] for i in range(ctx.n)]
+        cols.append(col)
+    return ctx.mat([[cols[j][i] for j in range(ctx.n)] for i in range(ctx.n)])
+
+
+def test_mul_single_term_columns_match_chained_scalars():
+    rng = random.Random(6)
+    for ctx in ALL_CTX:
+        n = ctx.n
+        for _ in range(150):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            exps = [rng.randrange(-3, 4) for _ in range(n)]
+            lefts = [_mixed_matrix(ctx, rng), ctx.random_element(rng),
+                     ctx.random_iwahori(rng), ctx.perm(sigma)]
+            rights = [ctx.diag(exps), ctx.perm(sigma), ctx.monomial(sigma, exps),
+                      ctx.identity, ctx.mat([[0] * n] * n),
+                      _single_live_right(ctx, rng), _mixed_matrix(ctx, rng)]
+            for a in lefts:
+                for b in rights:
+                    assert _raw_rows((a * b).rows) == _raw_rows(_chained_mul(a, b))
+
+
+def test_mul_mixed_primes_raises_as_the_kernel_does():
+    ctx3, ctx5 = GroupContext(2, 3, N), GroupContext(2, 5, N)
+    for b in (ctx5.identity, ctx5.mat([[0, 0], [0, 0]]), ctx5.diag((1, -1))):
+        with pytest.raises(ValueError, match=r"^mixed primes 3 and 5$"):
+            ctx3.identity * b
+    with pytest.raises(ValueError, match=r"^mixed primes 5 and 3$"):
+        ctx5.mat([[0, 0], [0, 0]]) * ctx3.identity
+
+
+# The samplers as they were before drawing on raw integers: the reference
+# for the random stream and for every accepted entry.
+
+def _ref_random_unit(ctx, rng):
+    u = rng.randrange(1, ctx.p ** min(ctx.precision, 8))
+    while u % ctx.p == 0:
+        u += 1
+    return PadicScalar.from_unit(ctx.p, 0, u, ctx.precision)
+
+
+def _ref_random_zp(ctx, rng, min_val=0):
+    if rng.random() < 0.08:
+        return ctx.zero
+    v = min_val + rng.choice([0, 0, 0, 1, 1, 2, 3])
+    return _ref_random_unit(ctx, rng).shift(v)
+
+
+def _ref_random_gl_zp(ctx, rng):
+    while True:
+        m = ctx.mat([[_ref_random_zp(ctx, rng) for _ in range(ctx.n)]
+                     for _ in range(ctx.n)])
+        d = m.det()
+        if not d.is_zeroish() and d.val_floor() == 0:
+            return m
+
+
+def _ref_random_iwahori(ctx, rng):
+    n = ctx.n
+    return ctx.mat([[_ref_random_unit(ctx, rng) if i == j
+                     else _ref_random_zp(ctx, rng, min_val=0 if i < j else 1)
+                     for j in range(n)] for i in range(n)])
+
+
+def _ref_random_unipotent(ctx, rng, upper, min_val=-2):
+    n = ctx.n
+    rows = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            keep = i < j if upper else i > j
+            if keep and rng.random() < 0.8:
+                rows[i][j] = _ref_random_unit(ctx, rng).shift(rng.randrange(min_val, 4))
+    return ctx.mat(rows)
+
+
+_SAMPLERS = [
+    ("random_unit", lambda c, r: [[c.random_unit(r)]], lambda c, r: [[_ref_random_unit(c, r)]]),
+    ("random_zp", lambda c, r: [[c.random_zp(r, 1)]], lambda c, r: [[_ref_random_zp(c, r, 1)]]),
+    ("random_gl_zp", lambda c, r: c.random_gl_zp(r).rows, lambda c, r: _ref_random_gl_zp(c, r).rows),
+    ("random_iwahori", lambda c, r: c.random_iwahori(r).rows,
+     lambda c, r: _ref_random_iwahori(c, r).rows),
+    ("random_unipotent", lambda c, r: c.random_unipotent(r, upper=False).rows,
+     lambda c, r: _ref_random_unipotent(c, r, upper=False).rows),
+]
+
+
+@pytest.mark.parametrize("precision", [1, 2, 3, 7, 8, 9, 32])
+def test_samplers_keep_their_random_stream(precision):
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7):
+            ctx = GroupContext(n, p, precision)
+            for seed in range(200):
+                got, want = random.Random(seed), random.Random(seed)
+                for name, draw, ref in _SAMPLERS:
+                    assert _raw_rows(draw(ctx, got)) == _raw_rows(ref(ctx, want)), \
+                        (name, n, p, precision, seed)
+                    assert got.getstate() == want.getstate(), (name, n, p, precision, seed)
+
+
+def test_residue_prefilter_is_exact():
+    """A residue determinant nonzero mod p is exactly a p-adic unit determinant."""
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        for p in (2, 3, 5):
+            ctx = GroupContext(n, p, N)
+            for _ in range(300):
+                entries = []
+                for _ in range(n * n):
+                    if rng.random() < 0.2:
+                        entries.append(ctx.zero)
+                        continue
+                    prec = rng.randrange(1, N + 1)
+                    u = rng.randrange(1, p ** prec)
+                    while u % p == 0:
+                        u = rng.randrange(1, p ** prec)
+                    entries.append(PadicScalar(p, rng.randrange(4), u, prec))
+                m = ctx.mat([entries[i * n:(i + 1) * n] for i in range(n)])
+                residues = [[x.residue(1) for x in r] for r in m.rows]
+                d = m.det()
+                accepted = not d.is_zeroish() and d.val_floor() == 0
+                assert (_int_det(residues) % p != 0) == accepted
 
 
 @pytest.mark.parametrize("n,p,precision", [
