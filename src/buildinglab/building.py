@@ -35,6 +35,12 @@ as ``random_zp`` and redraws when the residue matrix mod p is singular,
 before building any scalar; it accepts the same matrices, in the same
 random stream, as building every draw and testing its p-adic determinant.
 
+``_canonical_flag`` tests, scales and normalises flag columns on the raw
+``(v, unit, N)`` integers of their entries and subtracts them through
+``_fold``, with the entries the scalar operators give.  The canonical form
+is a projection, so ``IdealSimplex.translate`` returns a simplex unchanged
+for the shared ``ctx.identity``.
+
 Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
 loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
 The decompositions reduce a working copy A of g with one pivot search
@@ -63,7 +69,7 @@ from .coxeter import (
     get_system,
     weyl_from_permutation,
 )
-from .padic import INF, PadicScalar, PrecisionExhausted, _fold
+from .padic import INF, PadicScalar, PrecisionExhausted, _fold, _powers
 
 __all__ = [
     "AffineWeylCoset",
@@ -585,81 +591,113 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
     pivot row and one at its own.  Pivot rows are the residue-field pivot
     rows of the reduced lattice, so the result depends only on the flag,
     not on the representative.
+
+    The zero and valuation tests, the primitivising scale by
+    ``p**-floor`` and the pivot normalisation read and write the raw
+    ``(v, unit, N)`` integers of the entries, with the fields the scalar
+    ``*`` would give; a normalisation by a pivot that is exactly 1 and
+    at least as precise as its column (and of its prime) changes no entry
+    and is skipped.
+    Row subtraction goes through ``_fold``.
     """
-    n = ctx.n
-    cols: List[List[PadicScalar]] = [
-        [g.rows[i][j] for i in range(n)] for j in range(n)
-    ]
-    cuts = [0, *dims, n]
+    n, p, N = ctx.n, ctx.p, ctx.precision
+    pw = _powers(p, N)
+    cols = [list(col) for col in zip(*g.rows)]
+    free_rows = list(range(n))  # rows that are no pivot yet, ascending
     pivot_rows: List[int] = []  # across all finished blocks, in block order
     pivot_of_col: List[int] = [-1] * n
-    for b in range(len(cuts) - 1):
-        lo, hi = cuts[b], cuts[b + 1]
-        block = list(range(lo, hi))
+    lo = 0
+    for hi in (*dims, n):
+        block = range(lo, hi)
         # clear rows already used by earlier blocks
         for j in block:
             for r in pivot_rows:
                 c = cols[j][r]
-                if c.is_zeroish():
-                    continue
-                _sub_row(cols, j, pivot_of_col.index(r), c)
-                cols[j][r] = ctx.zero
-        done: List[int] = []
-        while len(done) < len(block):
+                if c.unit:
+                    _sub_row(cols, j, pivot_of_col.index(r), c)
+                    cols[j][r] = ctx.zero
+        todo = list(block)  # unfinished columns, in block order
+        while todo:
             # primitivize the unfinished columns
-            for j in block:
-                if j in done:
-                    continue
-                floor = min(
-                    cols[j][i].val_floor() for i in range(n) if i not in pivot_rows
-                )
-                if floor is INF or all(
-                    cols[j][i].is_zeroish() for i in range(n) if i not in pivot_rows
-                ):
+            for j in todo:
+                col = cols[j]
+                live, floor = False, INF
+                for i in free_rows:
+                    x = col[i]
+                    if x.unit:
+                        live = True
+                    if x.v < floor:
+                        floor = x.v
+                if not live:
                     raise PrecisionExhausted(
                         "flag degenerate within working precision"
                     )
                 if floor != 0:
-                    sc = ctx.p_power(-floor)
-                    cols[j] = [sc * x for x in cols[j]]
+                    cols[j] = _times(col, p, -floor, 1, N, pw)
             # smallest row holding a unit of some unfinished column
-            pr, pc = None, None
-            for r in range(n):
-                if r in pivot_rows:
-                    continue
-                for j in block:
-                    if j in done:
-                        continue
+            pr = pc = None
+            for r in free_rows:
+                for j in todo:
                     x = cols[j][r]
-                    if not x.is_zeroish() and x.val_floor() == 0:
+                    if x.unit and x.v == 0:
                         pr, pc = r, j
                         break
                 if pr is not None:
                     break
             if pr is None:
                 raise PrecisionExhausted("flag degenerate within working precision")
-            inv_p = cols[pc][pr].inv()
-            cols[pc] = [inv_p * x for x in cols[pc]]
-            cols[pc][pr] = ctx.one
+            # normalise the pivot column by the pivot, a unit of valuation 0
+            col = cols[pc]
+            u0, w0 = col[pr].unit, col[pr].N
+            if u0 != 1 or any(x.N > w0 or x.p != p for x in col):
+                pw0 = _powers(p, w0)
+                cols[pc] = col = _times(col, p, 0, pow(u0, -1, pw0[w0]), w0, pw0)
+            col[pr] = ctx.one
             for j in block:
                 if j == pc:
                     continue
                 c = cols[j][pr]
-                if not c.is_zeroish():
+                if c.unit:
                     _sub_row(cols, j, pc, c)
                 # the interpolation condition holds exactly by construction
                 cols[j][pr] = ctx.zero
             pivot_rows.append(pr)
+            free_rows.remove(pr)
             pivot_of_col[pc] = pr
-            done.append(pc)
-        # order the block's columns by pivot row
-        block_sorted = sorted(block, key=lambda j: pivot_of_col[j])
-        reordered = [cols[j] for j in block_sorted]
-        pivots_sorted = [pivot_of_col[j] for j in block_sorted]
-        for k, j in enumerate(block):
-            cols[j] = reordered[k]
-            pivot_of_col[j] = pivots_sorted[k]
-    return Mat(ctx, [[cols[j][i] for j in range(n)] for i in range(n)])
+            todo.remove(pc)
+        if hi - lo > 1:
+            # order the block's columns by pivot row
+            block_sorted = sorted(block, key=lambda j: pivot_of_col[j])
+            reordered = [cols[j] for j in block_sorted]
+            pivots_sorted = [pivot_of_col[j] for j in block_sorted]
+            for k, j in enumerate(block):
+                cols[j] = reordered[k]
+                pivot_of_col[j] = pivots_sorted[k]
+        lo = hi
+    return Mat(ctx, zip(*cols))
+
+
+def _times(col, p: int, shift: int, unit: int, cap: int, pw) -> List[PadicScalar]:
+    """``c * x`` for each x of col, c = ``p**shift * unit`` known to ``N = cap``.
+
+    Built from the raw fields exactly as ``PadicScalar.__mul__`` builds
+    them, with its ``ValueError`` for an entry of another prime; ``pw``
+    holds the powers of p up to ``cap``.
+    """
+    out = []
+    for x in col:
+        if x.p != p:
+            raise ValueError(f"mixed primes {p} and {x.p}")
+        u = x.unit
+        if u:
+            w = x.N
+            m = w if w < cap else cap
+            out.append(PadicScalar(p, x.v + shift, unit * u % pw[m], m))
+        elif x.v is INF:
+            out.append(x)
+        else:
+            out.append(PadicScalar(p, x.v + shift, 0, 0))
+    return out
 
 
 class IdealSimplex:
@@ -680,6 +718,22 @@ class IdealSimplex:
         return self.dims == self.ctx.full_dims
 
     def translate(self, g: Mat) -> "IdealSimplex":
+        """The simplex g . self; the shared identity gives self back.
+
+        The canonical form is a projection on representatives whose
+        entries carry at most the working precision, as every scalar a
+        context builds and all arithmetic on them do: canonicalising one
+        returns it entry for entry, ``N`` included, and the identity
+        product changes no entry.  So translating it by ``ctx.identity``
+        is exactly ``self`` and computes no flag
+        (``test_canonical_form_is_a_projection``).  The identity product
+        cuts an entry finer than the working precision down to it, so a
+        representative holding one is translated in full.
+        """
+        N = self.ctx.precision
+        if g is self.ctx.identity and all(
+                x.N <= N for row in self.canon.rows for x in row):
+            return self
         return boundary_simplex(g * self.canon, self.dims)
 
     def face(self, sub_dims: Iterable[int]) -> "IdealSimplex":

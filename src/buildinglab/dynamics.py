@@ -19,7 +19,10 @@ predicted limit at the gate base once, recentres each iterate once (the
 previous one is carried forward when the hypothesis fails) and reuses
 the fixed-start test's translate as the first iterate.
 ``verify_transit`` recentres the repelling simplex once and inverts
-each family element once, not once per target.  ``assumption_check``
+each family element once, not once per target.  Recentring at the
+origin is free: there ``_centre`` returns the shared ``ctx.identity``,
+which ``IdealSimplex.translate`` maps to the simplex itself, so at base
+``(0, ..., 0)`` no recentring computes a flag.  ``assumption_check``
 moves the gate face into frame coordinates once for both the
 block-splitting test and the stable refinement.  Sums of products
 (polynomial coefficients, column combinations) are one call each to the
@@ -339,9 +342,17 @@ class GateMeasure:
 
 
 def _centre(ctx, base: Sequence[int]) -> Mat:
-    """The diagonal matrix whose translates recentre simplices at base."""
+    """The diagonal matrix whose translates recentre simplices at base.
+
+    At the origin that matrix is the identity, and the shared
+    ``ctx.identity`` is returned, which ``IdealSimplex.translate`` maps
+    to the simplex itself: recentring at the origin is free, with no
+    product and no flag.
+    """
     if len(base) != ctx.n:
         raise ValueError("base vertex has wrong rank")
+    if not any(base):
+        return ctx.identity
     return ctx.diag(tuple(-b for b in base))
 
 
@@ -364,7 +375,9 @@ def agreement_gate(
     forms one difference matrix; loops that compare many simplices
     against a fixed one (``limit_boundary``, ``verify_transit``)
     recentre the fixed one once per call instead, through the same
-    private pair ``_centre`` / ``_radius``.
+    private pair ``_centre`` / ``_radius``.  At the origin recentring is
+    free, and the radius is read off the two representatives as they
+    are.
     """
     if s1.dims != s2.dims:
         raise ValueError("agreement gate needs simplices of equal type")

@@ -27,7 +27,8 @@ from buildinglab.building import (
     unipotent_radical_element,
     weyl_distance,
 )
-from buildinglab.building import _combine_columns, _int_det
+from buildinglab.building import Mat, _canonical_flag, _combine_columns, _int_det, _sub_row
+from buildinglab.dynamics import _radius, agreement_gate
 from buildinglab.coxeter import permutation_from_weyl, weyl_from_permutation
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
 
@@ -425,6 +426,237 @@ def test_translate_group_action():
         lhs = s.translate(g).translate(h)
         rhs = s.translate(h * g)
         assert lhs.agreement(rhs) >= N - 10
+
+
+# The canonical flag as it was on scalar operators, before the raw-integer
+# kernel: the reference for every entry and for every PrecisionExhausted.
+
+def _ref_canonical_flag(ctx, g, dims):
+    n = ctx.n
+    cols = [[g.rows[i][j] for i in range(n)] for j in range(n)]
+    cuts = [0, *dims, n]
+    pivot_rows = []
+    pivot_of_col = [-1] * n
+    for b in range(len(cuts) - 1):
+        lo, hi = cuts[b], cuts[b + 1]
+        block = list(range(lo, hi))
+        for j in block:
+            for r in pivot_rows:
+                c = cols[j][r]
+                if c.is_zeroish():
+                    continue
+                _sub_row(cols, j, pivot_of_col.index(r), c)
+                cols[j][r] = ctx.zero
+        done = []
+        while len(done) < len(block):
+            for j in block:
+                if j in done:
+                    continue
+                floor = min(
+                    cols[j][i].val_floor() for i in range(n) if i not in pivot_rows
+                )
+                if floor is INF or all(
+                    cols[j][i].is_zeroish() for i in range(n) if i not in pivot_rows
+                ):
+                    raise PrecisionExhausted(
+                        "flag degenerate within working precision"
+                    )
+                if floor != 0:
+                    sc = ctx.p_power(-floor)
+                    cols[j] = [sc * x for x in cols[j]]
+            pr, pc = None, None
+            for r in range(n):
+                if r in pivot_rows:
+                    continue
+                for j in block:
+                    if j in done:
+                        continue
+                    x = cols[j][r]
+                    if not x.is_zeroish() and x.val_floor() == 0:
+                        pr, pc = r, j
+                        break
+                if pr is not None:
+                    break
+            if pr is None:
+                raise PrecisionExhausted("flag degenerate within working precision")
+            inv_p = cols[pc][pr].inv()
+            cols[pc] = [inv_p * x for x in cols[pc]]
+            cols[pc][pr] = ctx.one
+            for j in block:
+                if j == pc:
+                    continue
+                c = cols[j][pr]
+                if not c.is_zeroish():
+                    _sub_row(cols, j, pc, c)
+                cols[j][pr] = ctx.zero
+            pivot_rows.append(pr)
+            pivot_of_col[pc] = pr
+            done.append(pc)
+        block_sorted = sorted(block, key=lambda j: pivot_of_col[j])
+        reordered = [cols[j] for j in block_sorted]
+        pivots_sorted = [pivot_of_col[j] for j in block_sorted]
+        for k, j in enumerate(block):
+            cols[j] = reordered[k]
+            pivot_of_col[j] = pivots_sorted[k]
+    return Mat(ctx, [[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _flag_inputs(ctx, rng, count):
+    """(class, matrix) pairs: GL_n(Z_p) draws, random elements, and random
+    elements holding approximate zeros and entries of reduced precision."""
+    p, prec = ctx.p, ctx.precision
+    for k in range(count):
+        kind = ("gl_zp", "element", "approx")[k % 3]
+        g = ctx.random_gl_zp(rng) if kind == "gl_zp" else ctx.random_element(rng)
+        if kind == "approx":
+            rows = [list(r) for r in g.rows]
+            for r in rows:
+                for j, x in enumerate(r):
+                    t = rng.random()
+                    if t < 0.2:
+                        r[j] = PadicScalar.near_zero(p, rng.randrange(-1, prec + 1))
+                    elif t < 0.35 and x.unit:
+                        w = rng.randrange(1, prec + 1)
+                        r[j] = PadicScalar(p, x.v, x.unit % p ** w, w)
+            g = Mat(ctx, rows)
+        yield kind, g
+
+
+def _edge_flags(ctx):
+    """I + p**N e_ij and I + O(p**N) e_ij: flags that are found exactly."""
+    p, n, N = ctx.p, ctx.n, ctx.precision
+    out = []
+    for e in (ctx.p_power(N), PadicScalar.near_zero(p, N)):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    rows = [list(r) for r in ctx.identity.rows]
+                    rows[i][j] = e
+                    out.append(Mat(ctx, rows))
+    return out
+
+
+def _degenerate_flags(ctx):
+    """Matrices whose full flag is degenerate at working precision."""
+    p, n, N = ctx.p, ctx.n, ctx.precision
+    cols = [list(c) for c in zip(*ctx.random_element(random.Random(17)).rows)]
+    fills = [
+        [ctx.zero] * n,  # a zero column
+        [PadicScalar.near_zero(p, 3)] * n,  # a column of approximate zeros
+        cols[0],  # a repeated column
+        # a column that differs from the first only below p**N
+        [x + PadicScalar.near_zero(p, N) if x.unit else x for x in cols[0]],
+    ]
+    out = []
+    for fill in fills:
+        c = [list(col) for col in cols]
+        c[1] = list(fill)
+        out.append(Mat(ctx, list(zip(*c))))
+    # no unit survives primitivising: an O(1) entry sets the floor at 0
+    c = [list(col) for col in cols]
+    c[0] = [PadicScalar.near_zero(p, 0)] + [ctx.p_power(1)] * (n - 1)
+    out.append(Mat(ctx, list(zip(*c))))
+    return out
+
+
+def _flag_or_error(fn, ctx, g, dims):
+    try:
+        return _raw_rows(fn(ctx, g, dims).rows)
+    except PrecisionExhausted as e:
+        return "PrecisionExhausted", str(e)
+
+
+@pytest.mark.parametrize("precision", [4, 8, 32])
+def test_canonical_flag_matches_scalar_reference(precision):
+    rng = random.Random(precision)
+    raised = 0
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7):
+            ctx = GroupContext(n, p, precision)
+            fixed = _edge_flags(ctx) + _degenerate_flags(ctx)
+            for dims in _all_dims(n):
+                inputs = [g for _, g in _flag_inputs(ctx, rng, 24)] + fixed
+                for g in inputs:
+                    got = _flag_or_error(_canonical_flag, ctx, g, dims)
+                    want = _flag_or_error(_ref_canonical_flag, ctx, g, dims)
+                    assert got == want, (n, p, precision, dims, g)
+                    raised += got[0] == "PrecisionExhausted"
+    assert raised
+
+
+def test_degenerate_flags_raise_in_both_kernels():
+    for ctx in (GroupContext(3, 2, 4), GroupContext(3, 3, 32), GroupContext(4, 7, 8)):
+        for g in _degenerate_flags(ctx):
+            for fn in (_canonical_flag, _ref_canonical_flag):
+                with pytest.raises(PrecisionExhausted, match="flag degenerate"):
+                    fn(ctx, g, ctx.full_dims)
+
+
+def test_canonical_flag_mixed_primes_raise_in_both_kernels():
+    ctx = GroupContext(3, 3, 8)
+    for i in range(3):
+        for j in range(3):
+            rows = [list(r) for r in ctx.random_element(random.Random(3 * i + j)).rows]
+            rows[i][j] = PadicScalar(5, 1, 2, 8)
+            g = Mat(ctx, rows)
+            messages = []
+            for fn in (_canonical_flag, _ref_canonical_flag):
+                with pytest.raises(ValueError, match="^mixed primes") as err:
+                    fn(ctx, g, ctx.full_dims)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], (i, j)
+
+
+@pytest.mark.parametrize("precision", [4, 8, 32])
+def test_canonical_form_is_a_projection(precision):
+    """Canonicalising a canonical form returns it, so the identity translate is free.
+
+    This holds for every input class the samplers and the arithmetic
+    produce; only entries finer than the working precision break it, and
+    for those the identity translate takes the full path.
+    """
+    rng = random.Random(100 + precision)
+    checked = 0
+    for n in (2, 3, 4):
+        for p in (2, 3, 5, 7):
+            ctx = GroupContext(n, p, precision)
+            origin = ctx.diag((0,) * n)  # the recentring matrix the gates built
+            for dims in _all_dims(n):
+                simplices = []
+                inputs = list(_flag_inputs(ctx, rng, 24))
+                inputs += [("edge", g) for g in _edge_flags(ctx)]
+                for kind, g in inputs:
+                    try:
+                        s = boundary_simplex(g, dims)
+                    except PrecisionExhausted:
+                        continue
+                    C = s.canon
+                    assert _raw_rows(_canonical_flag(ctx, C, dims).rows) \
+                        == _raw_rows(C.rows), (kind, n, p, precision, dims)
+                    assert s.translate(ctx.identity) is s
+                    full = boundary_simplex(origin * C, dims)
+                    assert _raw_rows(full.canon.rows) == _raw_rows(C.rows)
+                    simplices.append(s)
+                    checked += 1
+                for s1, s2 in zip(simplices, simplices[1:]):
+                    want = _radius(s1.translate(origin), s2.translate(origin))
+                    assert agreement_gate((0,) * n, s1, s2).radius == want
+    assert checked > 1200
+
+
+def test_identity_translate_of_finer_entries_takes_the_full_path():
+    # an entry with more digits than the working precision: the identity
+    # product cuts it, so translate must not return the simplex as it is
+    ctx = GroupContext(2, 3, 4)
+    g = Mat(ctx, [[PadicScalar(3, 0, 1, 9), ctx.zero],
+                  [PadicScalar(3, 0, 2, 9), ctx.one]])
+    s = boundary_simplex(g, (1,))
+    assert s.canon[1, 0].N == 9
+    moved = s.translate(ctx.identity)
+    assert moved is not s
+    assert _raw_rows(moved.canon.rows) \
+        == _raw_rows(boundary_simplex(ctx.diag((0, 0)) * s.canon, (1,)).canon.rows)
+    assert moved.canon[1, 0].N == 4
 
 
 # -- decompositions -----------------------------------------------------------

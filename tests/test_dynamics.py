@@ -582,10 +582,13 @@ def test_limit_boundary_trace_matches_agreement_gates(base):
                         "hypothesis-not-satisfied"}
 
 
+@pytest.mark.parametrize("base,per_step", [((0, 0, 0), 1), ((1, 0, -1), 2)],
+                         ids=["origin", "off-origin"])
 @pytest.mark.parametrize("branch", ["satisfied", "not-satisfied"])
-def test_limit_boundary_step_costs_two_flags(monkeypatch, branch):
-    # one translate by the element and one recentring per extra step;
-    # the predicted limit is recentred once per call, not once per step
+def test_limit_boundary_step_flag_count(monkeypatch, branch, base, per_step):
+    # one translate by the element and one recentring per extra step, and
+    # recentring at the origin is free; the predicted limit is recentred
+    # once per call, not once per step
     ctx = GroupContext(3, 3)
     if branch == "satisfied":
         cert = classify(ctx.diag((1, 0, -1)))
@@ -606,11 +609,11 @@ def test_limit_boundary_step_costs_two_flags(monkeypatch, branch):
     counts = []
     for max_n in (3, 4, 5):
         calls.clear()
-        rep = limit_boundary(cert, xi, max_n=max_n, r_target=N)
+        rep = limit_boundary(cert, xi, max_n=max_n, r_target=N, base=base)
         assert rep.status != "converged"
         assert rep.trace[-1][0] == max_n
         counts.append(len(calls))
-    assert [b - a for a, b in zip(counts, counts[1:])] == [2, 2]
+    assert [b - a for a, b in zip(counts, counts[1:])] == [per_step, per_step]
 
 
 # -- transit through gate neighborhoods ------------------------------------------------
