@@ -16,11 +16,7 @@ spec = ch.so2_subgroup(ctx)
 certs = [classify(ctx.diag((-k, k))) for k in range(1, steps + 1)]
 t = ctx.s(t_unit)
 
-aimed = ch.conjugate_trace(
-    spec, certs,
-    lambda k: ch.rotation_element(
-        ctx, t.shift(certs[k].apartment_exps[1] - certs[k].apartment_exps[0])),
-)
+aimed = ch.conjugate_trace(spec, certs, ch.aimed_selector(spec, certs, t))
 print("aimed at t = %d: converged %s" % (t_unit, aimed.converged))
 print("  successive agreements:", aimed.agreements)
 if aimed.limit is not None:

@@ -63,7 +63,6 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import coxeter
 from .coxeter import (
-    AffineWeylElement,
     CoxeterSystem,
     WeylElement,
     get_system,
@@ -82,7 +81,6 @@ __all__ = [
     "bruhat_cell",
     "cartan_decomposition",
     "chamber_of",
-    "coweight_coords",
     "iwahori_coset",
     "iwasawa_decomposition",
     "mat_agreement",
@@ -152,9 +150,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(self.ctx, list(zip(*self.rows)))
 
-    def scale(self, c: PadicScalar) -> "Mat":
-        return Mat(self.ctx, [[c * x for x in row] for row in self.rows])
-
     def det(self) -> PadicScalar:
         """Cofactor expansion; division-free, fine for n <= 4."""
         return _det(self.rows)
@@ -171,9 +166,6 @@ class Mat:
 
     def min_val_floor(self):
         return min(x.val_floor() for row in self.rows for x in row)
-
-    def agreement(self, other: "Mat"):
-        return mat_agreement(self, other)
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -403,9 +395,6 @@ class GroupContext:
     def s(self, x: int) -> PadicScalar:
         return PadicScalar.from_int(x, self.p, self.precision)
 
-    def p_power(self, k: int) -> PadicScalar:
-        return PadicScalar(self.p, k, 1, self.precision)
-
     # -- matrix constructors --------------------------------------------
 
     def mat(self, entries: Sequence[Sequence]) -> Mat:
@@ -449,10 +438,6 @@ class GroupContext:
     @functools.cached_property
     def c_plus(self) -> "IdealSimplex":
         return boundary_simplex(self.identity, self.full_dims)
-
-    @functools.cached_property
-    def c_minus(self) -> "IdealSimplex":
-        return boundary_simplex(self.reversal, self.full_dims)
 
     # -- samplers ----------------------------------------------------------
 
@@ -886,23 +871,6 @@ class AffineWeylCoset:
     perm: Tuple[int, ...]
     exps: Tuple[int, ...]
 
-    def is_translation(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
-
-    def monomial(self, ctx: GroupContext) -> Mat:
-        return ctx.perm(self.perm) * ctx.diag(self.exps)
-
-    def to_affine(self) -> AffineWeylElement:
-        sys = get_system(f"A{len(self.perm) - 1}")
-        w = weyl_from_permutation(sys, self.perm)
-        lam = coweight_coords(self.exps)
-        return AffineWeylElement(lam, w)
-
-
-def coweight_coords(exps: Sequence[int]) -> Tuple[int, ...]:
-    """Pairing coordinates of an exponent vector: v_j = a_{j+1} - a_j."""
-    return tuple(exps[j + 1] - exps[j] for j in range(len(exps) - 1))
-
 
 def iwahori_coset(g: Mat) -> AffineWeylCoset:
     """Iwahori double coset label of g.
@@ -1049,9 +1017,7 @@ def project_to_star(s: IdealSimplex, d: IdealSimplex) -> IdealSimplex:
     return boundary_simplex(Mat(ctx, rows), ctx.full_dims)
 
 
-def unipotent_radical_element(
-    s: IdealSimplex, rng: random.Random, min_val: int = 0
-) -> Mat:
+def unipotent_radical_element(s: IdealSimplex, rng: random.Random) -> Mat:
     """Random element of the unipotent radical of the simplex stabilizer."""
     ctx = s.ctx
     n = ctx.n
@@ -1065,8 +1031,6 @@ def unipotent_radical_element(
         for i in range(lo, hi):
             for j in range(hi, n):
                 if rng.random() < 0.75:
-                    rows[i][j] = ctx.random_unit(rng).shift(
-                        rng.randrange(min_val, min_val + 4)
-                    )
+                    rows[i][j] = ctx.random_unit(rng).shift(rng.randrange(0, 4))
     M = s.canon
     return M * Mat(ctx, rows) * M.inv()

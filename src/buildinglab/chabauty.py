@@ -49,10 +49,9 @@ class SubgroupSpec:
         if self.ctx.n != 2:
             raise ValueError("rotation subgroup needs a rank-one context")
 
-    def member(self, h: Mat, depth: Optional[int] = None) -> bool:
-        if depth is None:
-            depth = self.ctx.precision - 8
-        return mat_agreement(h.transpose() * h, self.ctx.identity) >= depth
+    def member(self, h: Mat) -> bool:
+        return (mat_agreement(h.transpose() * h, self.ctx.identity)
+                >= self.ctx.precision - 8)
 
 
 def so2_subgroup(ctx: GroupContext) -> SubgroupSpec:
@@ -108,8 +107,7 @@ class TraceResult:
 def conjugate_trace(spec: SubgroupSpec,
                     certs: Sequence[HyperbolicCertificate],
                     selector: Callable[[int], Mat],
-                    tail: int = 6,
-                    depth: Optional[int] = None) -> TraceResult:
+                    tail: int = 6) -> TraceResult:
     """Run g_n = a_n h_n a_n^{-1} for h_n = selector(n) and test Cauchyness.
 
     selector receives the index into certs and must return an element of
@@ -117,9 +115,7 @@ def conjugate_trace(spec: SubgroupSpec,
     negative experimental result, so it raises.
     """
     _validate_family(certs)
-    ctx = certs[0].element.ctx
-    if depth is None:
-        depth = ctx.precision - 4
+    depth = certs[0].element.ctx.precision - 4
     terms: List[Mat] = []
     for k, cert in enumerate(certs):
         h = selector(k)
@@ -169,9 +165,9 @@ def default_parameter_grid(ctx: GroupContext) -> Tuple[PadicScalar, ...]:
     return tuple(grid)
 
 
-def _aimed_selector(spec: SubgroupSpec,
-                    certs: Sequence[HyperbolicCertificate],
-                    t: PadicScalar) -> Callable[[int], Mat]:
+def aimed_selector(spec: SubgroupSpec,
+                   certs: Sequence[HyperbolicCertificate],
+                   t: PadicScalar) -> Callable[[int], Mat]:
     """Selector aiming the trace at the unipotent with upper entry t.
 
     The conjugate of a rotation by diag(p^{d0}, p^{d1}) scales its upper
@@ -192,8 +188,7 @@ def _aimed_selector(spec: SubgroupSpec,
 def chabauty_limit(spec: SubgroupSpec,
                    certs: Sequence[HyperbolicCertificate],
                    parameters: Optional[Sequence[PadicScalar]] = None,
-                   tail: int = 6,
-                   depth: Optional[int] = None) -> ChabautyReport:
+                   tail: int = 6) -> ChabautyReport:
     """Collect certified limits of a_n h_n a_n^{-1} along the family.
 
     The search is aimed: each parameter t (by default the grid of
@@ -204,15 +199,12 @@ def chabauty_limit(spec: SubgroupSpec,
     cannot certify that the limit group is trivial.
     """
     _validate_family(certs)
-    ctx = spec.ctx
-    if depth is None:
-        depth = ctx.precision - 4
     if parameters is None:
-        parameters = default_parameter_grid(ctx)
+        parameters = default_parameter_grid(spec.ctx)
     params = tuple(parameters)
     exponents = tuple(cert.exps for cert in certs)
-    traces = [conjugate_trace(spec, certs, _aimed_selector(spec, certs, t),
-                              tail=tail, depth=depth)
+    traces = [conjugate_trace(spec, certs, aimed_selector(spec, certs, t),
+                              tail=tail)
               for t in params]
 
     limits: List[Mat] = []
@@ -228,8 +220,7 @@ def chabauty_limit(spec: SubgroupSpec,
 
     closure: Optional[bool] = None
     if limits:
-        closure = _closure_samples(spec, certs, params, limits,
-                                   tail=tail, depth=depth)
+        closure = _closure_samples(spec, certs, params, limits, tail)
 
     status = "ok" if limits else "inconclusive"
     return ChabautyReport(spec.label, exponents, params, tuple(traces),
@@ -237,26 +228,27 @@ def chabauty_limit(spec: SubgroupSpec,
                           closure, status)
 
 
-def _closure_samples(spec, certs, params, limits, tail, depth):
+def _closure_samples(spec, certs, params, limits, tail):
     """Sampled closure of the harvested limit set under product and inverse.
 
     Products and inverses of aimed limits are themselves aimed at the sum
     and the negation of the parameters, so each check reruns the trace at
     the combined parameter and compares matrices at the target depth.
     """
+    depth = spec.ctx.precision - 4
     pairs = [(0, 1), (1, 2)] if len(limits) >= 3 else [(0, 0)]
     for i, j in pairs:
         want = limits[i] * limits[j]
         t = params[i] + params[j]
-        tr = conjugate_trace(spec, certs, _aimed_selector(spec, certs, t),
-                             tail=tail, depth=depth)
+        tr = conjugate_trace(spec, certs, aimed_selector(spec, certs, t),
+                             tail=tail)
         if not tr.converged or mat_agreement(tr.limit, want) < depth:
             return False
     for i in (0, min(1, len(limits) - 1)):
         want = limits[i].inv()
         tr = conjugate_trace(spec, certs,
-                             _aimed_selector(spec, certs, -params[i]),
-                             tail=tail, depth=depth)
+                             aimed_selector(spec, certs, -params[i]),
+                             tail=tail)
         if not tr.converged or mat_agreement(tr.limit, want) < depth:
             return False
     return True
@@ -290,30 +282,31 @@ def line_simplex(ctx: GroupContext, x: PadicScalar) -> IdealSimplex:
     return boundary_simplex(m, (1,))
 
 
+# boundary points sampled at each radius by check_OP
+_PER_RADIUS = 6
+
+
 def check_OP(spec: SubgroupSpec,
              sigma: IdealSimplex,
              rng: Optional[random.Random] = None,
-             radii: Sequence[int] = (0, 1, 2, 3, 4),
-             per_radius: int = 6,
-             depth: Optional[int] = None) -> OPVerdict:
+             radii: Sequence[int] = (0, 1, 2, 3, 4)) -> OPVerdict:
     """Probe whether the orbit of sigma under spec contains a gate ball.
 
-    Samples boundary points at each prescribed agreement radius from
-    sigma, attempts to solve for a subgroup element carrying sigma onto
-    the sample, and verifies every claimed witness.  The verdict radius
+    Samples six boundary points at each prescribed agreement radius
+    from sigma, attempts to solve for a subgroup element carrying sigma
+    onto the sample, and verifies every claimed witness.  The verdict radius
     is the smallest probed radius beyond which every sample was solved.
     """
     ctx = spec.ctx
     if rng is None:
         rng = random.Random(20127)
-    if depth is None:
-        depth = ctx.precision - 6
+    depth = ctx.precision - 6
     solved_at = {}
     attempts = 0
     solved = 0
     for r in radii:
         good = True
-        for _ in range(per_radius):
+        for _ in range(_PER_RADIUS):
             u = rng.randrange(1, ctx.p ** 5)
             if u % ctx.p == 0:
                 u += 1
@@ -332,7 +325,7 @@ def check_OP(spec: SubgroupSpec,
         if all(solved_at[q] for q in solved_at if q >= r):
             radius = r
             break
-    shallow = sum(per_radius for r, ok in solved_at.items()
+    shallow = sum(_PER_RADIUS for r, ok in solved_at.items()
                   if not ok and (radius is None or r < radius))
     if radius is None:
         return OPVerdict("unknown", None, attempts, solved, shallow)
@@ -404,9 +397,7 @@ def _block_factor(ctx: GroupContext, dims: Tuple[int, ...],
 
 
 def decompose_limit(limits: Sequence[Mat],
-                    cert: HyperbolicCertificate,
-                    targets: Optional[Sequence[IdealSimplex]] = None,
-                    depth: Optional[int] = None) -> DecompositionTable:
+                    cert: HyperbolicCertificate) -> DecompositionTable:
     """Factor each limit through the attracting simplex and test structure.
 
     Every element must stabilize the attracting simplex of cert; an
@@ -418,8 +409,7 @@ def decompose_limit(limits: Sequence[Mat],
         raise ValueError("empty limit set")
     sigma = cert.sigma_plus
     ctx = sigma.ctx
-    if depth is None:
-        depth = ctx.precision - 4
+    depth = ctx.precision - 4
     for idx, g in enumerate(limits):
         if not parabolic_membership(g, sigma, depth=depth - 6):
             raise ValueError(
@@ -451,8 +441,7 @@ def decompose_limit(limits: Sequence[Mat],
     closure = all(unipotent_defect(ua * ub) >= depth - 6
                   for ua in us[:3] for ub in us[:3])
 
-    if targets is None:
-        targets = [cert.sigma_minus.translate(u) for u in us]
+    targets = [cert.sigma_minus.translate(u) for u in us]
     reached = []
     for t in targets:
         hit = any(cert.sigma_minus.translate(u).same(t, depth=depth - 6)
@@ -513,11 +502,13 @@ class TransPVerdict:
     agreements: Tuple[float, ...]
 
 
+# trailing witness agreements that check_transP needs non-decreasing
+_TRANSP_TAIL = 4
+
+
 def check_transP(spec: SubgroupSpec,
                  certs: Sequence[HyperbolicCertificate],
-                 targets: Sequence[IdealSimplex],
-                 tail: int = 4,
-                 depth: Optional[int] = None) -> List[TransPVerdict]:
+                 targets: Sequence[IdealSimplex]) -> List[TransPVerdict]:
     """For each target, search conjugates of spec for carriers onto it.
 
     A carrier at index n is g_n = a_n h_n a_n^{-1} with g_n moving the
@@ -527,8 +518,7 @@ def check_transP(spec: SubgroupSpec,
     """
     _validate_family(certs)
     ctx = spec.ctx
-    if depth is None:
-        depth = ctx.precision - 4
+    depth = ctx.precision - 4
     sigma_minus = certs[0].sigma_minus
     sigma_plus = certs[0].sigma_plus
     out: List[TransPVerdict] = []
@@ -566,10 +556,10 @@ def check_transP(spec: SubgroupSpec,
                            for p, q in zip(terms, terms[1:]))
         good = (first is not None
                 and not broken
-                and len(terms) > tail
+                and len(terms) > _TRANSP_TAIL
                 and agreements[-1] >= depth
-                and all(b >= a for a, b in zip(agreements[-tail:],
-                                               agreements[-tail + 1:])))
+                and all(b >= a for a, b in zip(agreements[-_TRANSP_TAIL:],
+                                               agreements[-_TRANSP_TAIL + 1:])))
         if good:
             out.append(TransPVerdict(ti, "witness-found", first, agreements))
         else:

@@ -26,6 +26,7 @@ from .building import (
     GroupContext,
     Mat,
     _GROUP_RULES,
+    _int_det,
     bruhat_cell,
     cartan_decomposition,
     iwahori_coset,
@@ -105,9 +106,9 @@ _SCHEMA: Dict[str, Dict[str, _Field]] = {
                     lambda v, g: _ints(v, g["n"])
                     and all(u % g["p"] for u in v)),)),
                 "matrix": _Field(list, None, ((
-                    "expected n rows of n integers",
+                    "expected n rows of n integers with nonzero determinant",
                     lambda v, g: len(v) == g["n"]
-                    and all(_ints(r, g["n"]) for r in v)),)),
+                    and all(_ints(r, g["n"]) for r in v) and _int_det(v)),)),
             }),
         "chambers": _Field(int, 20, _AT_LEAST_1),
         "max_n": _Field(int, 64, _AT_LEAST_1),

@@ -198,7 +198,6 @@ class CoxeterSystem:
 
         els = [WeylElement(self, k, mats[k], mats[inverses[k]], words[k]) for k in range(n)]
         self._elements = els
-        self._index = index
         self._right = right
         self._products = [[els[k] for k in row] for row in products]
         self._inverses = [els[k] for k in inverses]
@@ -222,16 +221,6 @@ class CoxeterSystem:
         k = 0
         for i in word:
             k = self._right[k][i]
-        return self._elements[k]
-
-    def from_matrix(self, mat: Sequence[Sequence[int]]) -> WeylElement:
-        """The element acting by ``mat`` on the simple-root basis.
-
-        Raises ValueError when no element of this group does.
-        """
-        k = self._index.get(tuple(tuple(row) for row in mat))
-        if k is None:
-            raise ValueError(f"matrix is not an element of the Weyl group {self.name}")
         return self._elements[k]
 
     # -- enumeration ------------------------------------------------------
@@ -265,22 +254,6 @@ class CoxeterSystem:
             pos = frozenset(v for v in seen if not _is_negative(v))
             self._roots_cache = (pos, frozenset(seen))
         return self._roots_cache
-
-    # -- opposition --------------------------------------------------------
-
-    def opposition_involution(self) -> Dict[int, int]:
-        """i -> j with  w0 * s_i * w0 == s_j."""
-        w0 = self.longest_element()
-        out = {}
-        for i in range(self.rank):
-            conj = w0 * self.simple(i) * w0
-            for j in range(self.rank):
-                if conj == self.simple(j):
-                    out[i] = j
-                    break
-            else:
-                raise RuntimeError("conjugate of a generator is not a generator")
-        return out
 
     # -- cosets and parabolic subgroups -------------------------------------
 
@@ -389,11 +362,6 @@ def regular_translation(system: CoxeterSystem, I: Iterable[int]) -> Vec:
     if not I <= set(range(system.rank)):
         raise ValueError("type is not a subset of the generator set")
     return tuple(0 if i in I else 1 for i in range(system.rank))
-
-
-def pair(v: Sequence[int], beta: Sequence[int]) -> int:
-    """Pairing of a coweight vector against a root, both in their bases."""
-    return sum(a * b for a, b in zip(v, beta))
 
 
 # -- affine elements ---------------------------------------------------------

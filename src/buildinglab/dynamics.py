@@ -190,14 +190,6 @@ class HyperbolicCertificate:
         return not self.wall_type
 
 
-def fixes_min_boundary(cert: HyperbolicCertificate, depth: Optional[int] = None) -> bool:
-    """The element stabilizes both of its endpoint simplices."""
-    g = cert.element
-    return parabolic_membership(g, cert.sigma_plus, depth) and parabolic_membership(
-        g, cert.sigma_minus, depth
-    )
-
-
 def _certificate_tail(a: Sequence[int]):
     """Endpoint dims, their duals, length and wall type of descending exps a."""
     n = len(a)
@@ -256,7 +248,6 @@ def classify(
     g: Mat,
     frame: Optional[Mat] = None,
     rng: Optional[random.Random] = None,
-    attempts: int = 6,
 ) -> Optional[HyperbolicCertificate]:
     """Certificate for a translation-like element, or None if elliptic.
 
@@ -267,7 +258,9 @@ def classify(
     span of the leading columns of g^k stabilizes onto the attracting
     flag once k clears the valuation gaps.  Candidates are only
     accepted after the element demonstrably stabilizes them and they
-    are opposite each other.
+    are opposite each other.  Six attempts are made, the first on the
+    standard basis and the rest on random GL_n(Z_p) bases drawn from
+    rng; when none succeeds PrecisionExhausted is raised.
     """
     ctx = g.ctx
     n = ctx.n
@@ -295,7 +288,7 @@ def classify(
     if rng is None:
         rng = random.Random(65537)
     last_err: Optional[Exception] = None
-    for attempt in range(attempts):
+    for attempt in range(6):
         basis = ctx.identity if attempt == 0 else ctx.random_gl_zp(rng)
         try:
             sp = boundary_simplex(fwd * basis, dims_plus)
@@ -320,8 +313,7 @@ def classify(
                 apartment_exps=None,
             )
     raise PrecisionExhausted(
-        "endpoint simplices did not stabilize after %d bases: %r"
-        % (attempts, last_err)
+        "endpoint simplices did not stabilize after 6 bases: %r" % (last_err,)
     )
 
 
@@ -515,11 +507,7 @@ class AssumptionReport:
     min_rep_word: Tuple[int, ...]
 
 
-def assumption_check(
-    cert: HyperbolicCertificate,
-    beta: IdealSimplex,
-    depth: Optional[int] = None,
-) -> AssumptionReport:
+def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> AssumptionReport:
     """Does the projection of beta's residue reach the axis boundary?
 
     Projects the chamber of beta onto the star of the repelling
@@ -531,8 +519,7 @@ def assumption_check(
     if cert.frame is None:
         raise ValueError("hypothesis check needs an eigenframe certificate")
     ctx = beta.ctx
-    if depth is None:
-        depth = ctx.precision - 8
+    depth = ctx.precision - 8
     c0 = chamber_of(beta)
     f0 = project_to_star(cert.sigma_minus, c0)
     w_fc = weyl_distance(f0, c0)
@@ -749,16 +736,14 @@ def verify_transit(
 # -- conjugation boundedness ---------------------------------------------------
 
 
-def conjugation_bounded(
-    gamma: Mat, g: Mat, steps: int = 20, slack: int = 5
-) -> Tuple[bool, List[float]]:
+def conjugation_bounded(gamma: Mat, g: Mat, steps: int = 20) -> Tuple[bool, List[float]]:
     """Does the backward conjugation orbit of g stay bounded?
 
     Tracks the minimal entry valuation of gamma^-k g gamma^k.  Bounded
     orbits characterize the stabilizer of the attracting simplex;
     anything outside it picks up at least one entry whose valuation
     drops linearly in k, so after `steps` iterations the verdict is
-    read off against the starting floor minus `slack`.  Near-members
+    read off against the starting floor minus 5.  Near-members
     whose offending entries sit close to working precision can fool
     the comparison; keep inputs coarse relative to the precision.
     """
@@ -768,4 +753,4 @@ def conjugation_bounded(
     for _ in range(steps):
         x = gi * x * gamma
         trace.append(float(x.min_val_floor()))
-    return trace[-1] >= trace[0] - slack, trace
+    return trace[-1] >= trace[0] - 5, trace

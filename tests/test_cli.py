@@ -464,6 +464,10 @@ SO2 = "so2-sl2-q5"
     ("subgroup.theta", _preset_with(SO2, **{"subgroup.theta": "other"})),
     ("group", {"kind": "coxeter-oracle", "types": ["A2"],
                "group": {"n": 2, "p": 3}}),
+    # a zero determinant is exact: no precision is involved
+    *[("element.matrix", _preset_with(DYN, element={"matrix": m}))
+      for m in ([[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                [[1, 2], [2, 4]])],
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, path, data):
     cfg = tmp_path / "cfg.json"

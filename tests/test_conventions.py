@@ -6,6 +6,7 @@ side choice that the rest of the suite silently relies on.
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 from buildinglab.building import (
@@ -21,6 +22,7 @@ from buildinglab.dynamics import agreement_gate, classify
 from buildinglab import chabauty as ch
 
 N = 32
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def test_left_action_composition():
@@ -150,9 +152,93 @@ def _unused_imports(source: str):
 
 
 def test_no_unused_imports():
-    root = Path(__file__).resolve().parents[1]
     paths = [path for pattern in ("src/buildinglab/*.py", "tests/*.py", "scripts/*.py")
-             for path in sorted(root.glob(pattern))]
-    found = {str(path.relative_to(root)): _unused_imports(path.read_text())
+             for path in sorted(_REPO.glob(pattern))]
+    found = {str(path.relative_to(_REPO)): _unused_imports(path.read_text())
              for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# -- reach guards --------------------------------------------------------------
+# Both match by name: `x.agreement` reaches every method called `agreement`,
+# and `f(a, depth=1)` passes `depth` to every callable called `f`.  A dead
+# method that shares its name with a live one is hidden from them, as
+# Mat.agreement, AffineWeylCoset.is_translation and .monomial were: those
+# were found and deleted by hand.
+
+# public names that nothing in src/, scripts/ or the acceptance suite reaches
+_UNREACHED = {
+    "project_to_residue": "ROADMAP item 1 gives it a caller",
+    "is_regular": "ROADMAP item 6 gives it a caller",
+    "agreement_gate": "CONVENTIONS.md defines the gate by it",
+    "from_unit": "tests build scalars with it",
+    "abs_precision": "tests read the precision of scalars with it",
+}
+
+
+def _trees(*patterns):
+    return [ast.parse(path.read_text())
+            for pattern in patterns for path in sorted(_REPO.glob(pattern))]
+
+
+def _public_defs():
+    """(name, node, is a method) of every public function, class and method
+    of the package, the test oracles in oracles.py aside."""
+    for path in sorted(_REPO.glob("src/buildinglab/*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                yield node.name, node, False
+                methods = node.body if isinstance(node, ast.ClassDef) else ()
+                yield from ((sub.name, sub, True) for sub in methods
+                            if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_")
+
+
+def _names(tree):
+    """Names read in a tree as an ast.Name, an ast.Attribute or an import."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return [getattr(node, fields[type(node)]).rpartition(".")[2]
+            for node in ast.walk(tree) if type(node) in fields]
+
+
+def test_every_public_name_is_reached():
+    trees = _trees("src/**/*.py", "scripts/*.py", "tests/test_acceptance.py")
+    refs = Counter(name for tree in trees for name in _names(tree))
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            refs[node.name] -= _names(node).count(node.name)  # its own body
+    unreached = {name for name, _, _ in _public_defs() if refs[name] <= 0}
+    # also fails when a listed name gains a caller or is deleted
+    assert unreached == set(_UNREACHED)
+
+
+def _passed(call, param, pos):
+    """Does the call pass param by keyword, by position or through * or **?"""
+    return any(k.arg in (param, None) for k in call.keywords) or (
+        pos is not None and (len(call.args) > pos or any(
+            isinstance(x, ast.Starred) for x in call.args[:pos + 1])))
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = {}
+    for node in (node for tree in _trees("src/**/*.py", "scripts/*.py", "tests/*.py")
+                 for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    never = []
+    for name, fn, method in _public_defs():
+        if isinstance(fn, ast.ClassDef):  # called through its __init__
+            fn = next((f for f in fn.body if getattr(f, "name", "") == "__init__"), None)
+            method = True
+            if fn is None:
+                continue
+        a = fn.args
+        names = [x.arg for x in a.posonlyargs + a.args][method:]
+        first = len(names) - len(a.defaults)
+        defaulted = [(x, i) for i, x in enumerate(names) if i >= first] + [
+            (k.arg, None) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        never += ["%s(%s)" % (name, x) for x, pos in defaulted
+                  if not any(_passed(c, x, pos) for c in calls.get(name, ()))]
+    assert never == []

@@ -15,7 +15,6 @@ from buildinglab.coxeter import (
     _mat_mul,
     _mat_vec,
     get_system,
-    pair,
     permutation_from_weyl,
     permutation_word,
     regular_translation,
@@ -28,14 +27,6 @@ SYSTEMS = ["A1", "A2", "A3", "B2", "C2", "G2"]
 # frozen from the word-BFS / dihedral-presentation oracles below
 EXPECTED_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12}
 EXPECTED_LONGEST = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "C2": 4, "G2": 6}
-EXPECTED_OPPOSITION = {
-    "A1": {0: 0},
-    "A2": {0: 1, 1: 0},
-    "A3": {0: 2, 1: 1, 2: 0},
-    "B2": {0: 0, 1: 1},
-    "C2": {0: 0, 1: 1},
-    "G2": {0: 0, 1: 1},
-}
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -75,7 +66,6 @@ def test_tables_against_matrix_representation(name):
     assert els == sorted(els, key=lambda w: (w.length, w.word))
     ident = _identity_mat(sys.rank)
     for a in els:
-        assert sys.from_matrix(a.mat) is a
         assert a.inverse().mat == a.inv_mat
         assert _mat_mul(a.mat, a.inverse().mat) == ident
         for i in range(sys.rank):
@@ -85,11 +75,6 @@ def test_tables_against_matrix_representation(name):
         for b in els:
             assert (a * b).mat == _mat_mul(a.mat, b.mat)
             assert sys.separating_walls(a, b) == oracles.separating_walls_by_sides(sys, a, b)
-    not_element = tuple(tuple(2 * x for x in row) for row in ident)
-    wrong_shape = _identity_mat(sys.rank + 1)
-    for mat in (not_element, wrong_shape):
-        with pytest.raises(ValueError):
-            sys.from_matrix(mat)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -109,14 +94,6 @@ def test_longest_element(name):
     assert w0.length == len(sys.positive_roots())
     assert (w0 * w0).is_identity()
     assert w0.left_descents() == frozenset(range(sys.rank))
-
-
-@pytest.mark.parametrize("name", SYSTEMS)
-def test_opposition_involution(name):
-    sys = get_system(name)
-    iota = sys.opposition_involution()
-    assert iota == EXPECTED_OPPOSITION[name]
-    assert all(iota[iota[i]] == i for i in iota)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -223,7 +200,8 @@ def test_coweight_action_pairing_invariance(name):
         w = rng.choice(sys.elements())
         v = tuple(rng.randrange(-4, 5) for _ in range(sys.rank))
         beta = rng.choice(sorted(sys.positive_roots()))
-        assert pair(w.apply_coweight(v), _mat_vec(w.mat, beta)) == pair(v, beta)
+        image = zip(w.apply_coweight(v), _mat_vec(w.mat, beta))
+        assert sum(a * b for a, b in image) == sum(a * b for a, b in zip(v, beta))
 
 
 @pytest.mark.parametrize("name", ["A~1", "A~2", "A~3", "C~2"])

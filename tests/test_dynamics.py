@@ -29,7 +29,6 @@ from buildinglab.dynamics import (
     characteristic_polynomial,
     classify,
     conjugation_bounded,
-    fixes_min_boundary,
     limit_boundary,
     newton_slopes,
     verify_transit,
@@ -237,7 +236,8 @@ def test_classify_sl2_frozen():
     assert cert.sigma_minus.same(ctx.c_plus.face((1,)), N - 4)
     assert cert.apartment_exps == (1, -1)
     assert opposite(cert.sigma_plus, cert.sigma_minus)
-    assert fixes_min_boundary(cert)
+    assert parabolic_membership(cert.element, cert.sigma_plus)
+    assert parabolic_membership(cert.element, cert.sigma_minus)
 
 
 def test_classify_sl3_frozen():
@@ -246,7 +246,7 @@ def test_classify_sl3_frozen():
     assert regular.exps == (1, 0, -1)
     assert regular.wall_type == frozenset()
     assert regular.sigma_plus.dims == (1, 2)
-    assert regular.sigma_plus.same(ctx.c_minus, N - 4)
+    assert regular.sigma_plus.same(boundary_simplex(ctx.reversal, ctx.full_dims), N - 4)
     assert regular.sigma_minus.same(ctx.c_plus, N - 4)
 
     singular = classify(ctx.diag((1, 1, -2)))
@@ -265,7 +265,8 @@ def test_classify_sl3_frozen():
     assert singular.sigma_plus.same(e3_line, N - 4)
     assert singular.sigma_minus.same(e12_plane, N - 4)
     assert opposite(singular.sigma_plus, singular.sigma_minus)
-    assert fixes_min_boundary(singular)
+    assert parabolic_membership(singular.element, singular.sigma_plus)
+    assert parabolic_membership(singular.element, singular.sigma_minus)
 
 
 def test_classify_elliptic_and_bad_frame():
@@ -294,7 +295,8 @@ def test_classify_conjugation_equivariance_and_membership_sampling():
             assert math.isclose(cert.translation_length, base.translation_length)
             assert cert.sigma_plus.same(base.sigma_plus.translate(h), 10)
             assert cert.sigma_minus.same(base.sigma_minus.translate(h), 10)
-            assert fixes_min_boundary(cert, 10)
+            assert parabolic_membership(cert.element, cert.sigma_plus, 10)
+            assert parabolic_membership(cert.element, cert.sigma_minus, 10)
             checked += 1
     assert checked == 100
 
