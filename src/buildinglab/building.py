@@ -26,9 +26,18 @@ a matrix product is one kernel call, each level of the cofactor
 expansion in ``Mat.det`` is one kernel call over the first row and the
 signed minors, and each entry touched by a row or column step
 (``x - c*y``, or ``x + c*y`` in the tracked inverse) is one kernel call.
-A product column with one entry that is not an exact zero skips the
-kernel: each of its entries is the one scalar product the kernel would
-return, and a column of exact zeros gives exact zeros.
+The kernel over one pair that is not an exact zero returns that scalar
+product, and over none the exact zero, so two kinds of product skip it.
+When every row of the left factor has at most one entry that is not an
+exact zero (a diagonal, permutation or monomial matrix), row i of the
+product is a_ik times row k of the right factor, built from the raw
+fields as ``*`` builds them, and a row of exact zeros gives exact zeros.
+Otherwise a product column with at most one such entry is built the
+same way.  A row or column step leaves an entry as it is when its
+partner is an exact zero: no product is live, and ``_fold`` returns
+``x`` itself.  ``mat_agreement`` and the gate radius read the floor of a
+difference through ``_diff_floor``, which builds no difference matrix
+and subtracts no entry that both sides share.
 
 ``random_gl_zp`` draws raw ``(v, unit)`` pairs with the same ``rng`` calls
 as ``random_zp`` and redraws when the residue matrix mod p is singular,
@@ -43,6 +52,9 @@ for the shared ``ctx.identity``.
 
 Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
 loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
+It skips normalising a row by a pivot that is exactly 1, of the row's
+prime, when no entry of the row is more precise than the pivot, by
+``_canonical_flag``'s rule: that division changes no entry.
 The decompositions reduce a working copy A of g with one pivot search
 and shared row and column operations.  These update tracked transforms:
 row steps keep g = left . A, column steps keep g = A . right, and a
@@ -124,6 +136,29 @@ class Mat:
         if other.ctx.p != p:
             raise ValueError(f"mixed primes {p} and {other.ctx.p}")
         rows, zero = self.rows, self.ctx.zero
+        picks = []  # per row of self: the index of its one live entry, or None
+        for row in rows:
+            live = [k for k, x in enumerate(row) if x.unit or x.v is not INF]
+            if len(live) > 1:
+                break
+            picks.append(live[0] if live else None)
+        else:
+            # the kernel over one live pair is exactly that scalar product,
+            # so row i of the product is a_ik times row k of other, which
+            # _times builds as * does
+            brows = other.rows
+            out = []
+            for row, k in zip(rows, picks):
+                if k is None:
+                    out.append([zero] * len(brows[0]))
+                    continue
+                a = row[k]
+                if a.unit:
+                    out.append(_times(brows[k], a.p, a.v, a.unit, a.N,
+                                      _powers(a.p, a.N)))
+                else:
+                    out.append([a * b for b in brows[k]])
+            return Mat(self.ctx, out)
         out = []  # columns of the product
         for col in zip(*other.rows):
             live = [k for k, x in enumerate(col) if x.unit or x.v is not INF]
@@ -137,15 +172,6 @@ class Mat:
             else:
                 out.append([zero] * len(rows))
         return Mat(self.ctx, zip(*out))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return Mat(
-            self.ctx,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
 
     def transpose(self) -> "Mat":
         return Mat(self.ctx, list(zip(*self.rows)))
@@ -193,9 +219,32 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def mat_agreement(a: Mat, b: Mat):
-    """Valuation depth to which two matrices agree (INF if identical)."""
-    d = a - b
-    return min(x.val_floor() for row in d.rows for x in row)
+    """Valuation depth to which two matrices agree: the least valuation
+    floor of the entries of a - b, INF when all of them are exact zeros."""
+    return _diff_floor(a, b)[0]
+
+
+def _diff_floor(a: Mat, b: Mat):
+    """(floor, live) of the entries of ``a - b``, building no matrix.
+
+    floor is their least ``val_floor`` and live tells whether one of them
+    is not zeroish.  An entry that is the same object on both sides
+    differs from itself by ``O(p**(v + N))``, or by ``O(p**v)`` when it
+    is zeroish, so it contributes that bound without a subtraction.
+    """
+    floor, live = INF, False
+    for ra, rb in zip(a.rows, b.rows):
+        for x, y in zip(ra, rb):
+            if x is y:
+                f = x.v + x.N if x.unit else x.v
+            else:
+                d = x - y
+                f = d.v
+                if d.unit:
+                    live = True
+            if f < floor:
+                floor = f
+    return floor, live
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +264,32 @@ def _pivot(A, cells):
 
 
 def _sub_row(A, dst, src, c, left=None):
-    """A <- E A with E = I - c e_{dst, src}; left <- left E^{-1}."""
-    A[dst] = [_fold(x, (), ((c, y),)) for x, y in zip(A[dst], A[src])]
+    """A <- E A with E = I - c e_{dst, src}; left <- left E^{-1}.
+
+    An entry whose partner is an exact zero is left as it is, which is
+    what ``_fold`` returns for it.
+    """
+    A[dst] = [_fold(x, (), ((c, y),)) if y.unit or y.v is not INF else x
+              for x, y in zip(A[dst], A[src])]
     if left is not None:
         for r in left:
-            r[src] = _fold(r[src], ((c, r[dst]),))
+            y = r[dst]
+            if y.unit or y.v is not INF:
+                r[src] = _fold(r[src], ((c, y),))
 
 
 def _sub_col(A, dst, src, c, right=None):
-    """A <- A F with F = I - c e_{src, dst}; right <- F^{-1} right."""
+    """A <- A F with F = I - c e_{src, dst}; right <- F^{-1} right.
+
+    Skips exact-zero partners as ``_sub_row`` does.
+    """
     for r in A:
-        r[dst] = _fold(r[dst], (), ((c, r[src]),))
+        y = r[src]
+        if y.unit or y.v is not INF:
+            r[dst] = _fold(r[dst], (), ((c, y),))
     if right is not None:
-        right[src] = [_fold(x, ((c, y),)) for x, y in zip(right[src], right[dst])]
+        right[src] = [_fold(x, ((c, y),)) if y.unit or y.v is not INF else x
+                      for x, y in zip(right[src], right[dst])]
 
 
 def _swap_rows(A, i, j, left=None):
@@ -275,8 +337,12 @@ def _echelon_rows(ctx: "GroupContext", rows: List[List[PadicScalar]]):
         if piv is None:
             continue
         _swap_rows(R, r, piv[0])
-        pinv = R[r][c].inv()
-        R[r] = [e * pinv for e in R[r]]
+        x = R[r][c]
+        # a pivot that is exactly 1 changes no entry at most as precise as
+        # itself, as in _canonical_flag
+        if x.unit != 1 or x.v != 0 or any(e.N > x.N or e.p != x.p for e in R[r]):
+            pinv = x.inv()
+            R[r] = [e * pinv for e in R[r]]
         for i in range(m):
             if i != r and not R[i][c].is_zeroish():
                 _sub_row(R, i, r, R[i][c])
@@ -398,11 +464,16 @@ class GroupContext:
     # -- matrix constructors --------------------------------------------
 
     def mat(self, entries: Sequence[Sequence]) -> Mat:
+        """The matrix of integers and scalars; a scalar of another prime
+        raises ``ValueError``."""
+        p = self.p
         rows = []
         for r in entries:
-            rows.append(
-                [x if isinstance(x, PadicScalar) else self.s(x) for x in r]
-            )
+            row = [x if isinstance(x, PadicScalar) else self.s(x) for x in r]
+            for x in row:
+                if x.p != p:
+                    raise ValueError(f"mixed primes {p} and {x.p}")
+            rows.append(row)
         return Mat(self, rows)
 
     def diag(self, exps: Sequence[int], units: Optional[Sequence[int]] = None) -> Mat:

@@ -26,6 +26,7 @@ from .building import (
     GroupContext,
     Mat,
     _GROUP_RULES,
+    _diff_floor,
     _int_det,
     bruhat_cell,
     cartan_decomposition,
@@ -375,13 +376,10 @@ def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
             # eat into its residual; it is gated on soundness (the product
             # never contradicts a claimed digit) with the floor recorded
             uu, m, b = bruhat_cell(g)
-            diff = uu * m * b - g
-            sound = all(diff[i, j].is_zeroish()
-                        for i in range(ctx.n) for j in range(ctx.n))
-            if not sound:
+            residual, contradicts = _diff_floor(uu * m * b, g)
+            if contradicts:
                 failures += 1
-            stats["bruhat_min"] = min(stats["bruhat_min"],
-                                      diff.min_val_floor() - base)
+            stats["bruhat_min"] = min(stats["bruhat_min"], residual - base)
             # synthesized Iwahori sandwich must recover its label exactly
             sigma = list(range(ctx.n))
             rng.shuffle(sigma)

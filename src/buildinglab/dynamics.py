@@ -42,6 +42,7 @@ from .building import (
     IdealSimplex,
     Mat,
     _combine_columns,
+    _diff_floor,
     boundary_simplex,
     chamber_of,
     dims_of_type,
@@ -349,11 +350,16 @@ def _centre(ctx, base: Sequence[int]) -> Mat:
 
 
 def _radius(a: IdealSimplex, b: IdealSimplex) -> float:
-    """Agreement depth of two recentred simplices: one difference matrix."""
-    diff = [x for row in (a.canon - b.canon).rows for x in row]
-    if all(x.is_zeroish() for x in diff):
-        return INF
-    return min(x.val_floor() for x in diff)
+    """Agreement depth of two recentred simplices.
+
+    The least valuation floor of the entries of the difference of their
+    representatives, INF when every one of them is zeroish, read off by
+    ``building._diff_floor``: no difference matrix is built, and an entry
+    the two share (``ctx.one`` at a common pivot, ``ctx.zero`` next to
+    it) costs no subtraction.
+    """
+    floor, live = _diff_floor(a.canon, b.canon)
+    return floor if live else INF
 
 
 def agreement_gate(
@@ -364,7 +370,8 @@ def agreement_gate(
     Radius is the minimal valuation of the difference of the
     recentered canonical representatives, +inf when they coincide
     within working precision.  Each call recentres both simplices and
-    forms one difference matrix; loops that compare many simplices
+    reads that minimum off their entries pair by pair, subtracting none
+    that the two share (``_radius``); loops that compare many simplices
     against a fixed one (``limit_boundary``, ``verify_transit``)
     recentre the fixed one once per call instead, through the same
     private pair ``_centre`` / ``_radius``.  At the origin recentring is

@@ -236,11 +236,12 @@ class PadicScalar:
         if s == 0:
             return PadicScalar(p, m, 0, 0)
         v = a.v
+        # 0 < s < p**width, and each factor of p stripped lowers both
+        # sides by one, so s < p**(m - v) is already reduced
         while s % p == 0:
             s //= p
             v += 1
-        n = m - v
-        return PadicScalar(p, v, s % pw[n], n)
+        return PadicScalar(p, v, s, m - v)
 
     def __neg__(self) -> "PadicScalar":
         if self.unit == 0:
@@ -435,8 +436,9 @@ def _fold(x, plus=(), minus=()):
     s %= pw[width]
     if s == 0:
         return PadicScalar(p, M, 0, 0)
+    # 0 < s < p**width, and each factor of p stripped lowers both sides
+    # by one, so s < p**(M - vs) is already reduced
     while s % p == 0:
         s //= p
         vs += 1
-    n = M - vs
-    return PadicScalar(p, vs, s % pw[n], n)
+    return PadicScalar(p, vs, s, M - vs)

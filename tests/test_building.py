@@ -26,10 +26,19 @@ from buildinglab.building import (
     unipotent_radical_element,
     weyl_distance,
 )
-from buildinglab.building import Mat, _canonical_flag, _combine_columns, _int_det, _sub_row
+from buildinglab.building import (
+    Mat,
+    _canonical_flag,
+    _combine_columns,
+    _echelon_rows,
+    _int_det,
+    _pivot,
+    _sub_col,
+    _sub_row,
+)
 from buildinglab.dynamics import _radius, agreement_gate
 from buildinglab.coxeter import permutation_from_weyl, weyl_from_permutation
-from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
+from buildinglab.padic import INF, PadicScalar, PrecisionExhausted, _fold
 
 N = 32
 CTX2 = GroupContext(2, 3, N)
@@ -43,12 +52,15 @@ def agree(a, b, depth):
     assert got >= depth, f"agreement {got} < {depth}"
 
 
+def _differences(a, b):
+    """The entries of a - b, by scalar subtraction, row by row."""
+    return [x - y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)]
+
+
 def assert_recomposes(product, g, slack=14):
     """product must equal g on every digit it claims, and claim enough."""
-    diff = product - g
-    for row in diff.rows:
-        for x in row:
-            assert x.is_zeroish(), f"recomposition contradicts input: {x}"
+    for x in _differences(product, g):
+        assert x.is_zeroish(), f"recomposition contradicts input: {x}"
     agree(product, g, g.min_val_floor() + N - slack)
 
 
@@ -85,10 +97,8 @@ def test_matrix_inverse_roundtrip():
             gi = g.inv()
             # soundness: every digit the tracker claims to know must match
             # the identity; deviations may only be declared-unknown windows
-            diff = g * gi - ctx.identity
-            for row in diff.rows:
-                for x in row:
-                    assert x.is_zeroish(), f"inverse contradicts identity: {x}"
+            for x in _differences(g * gi, ctx.identity):
+                assert x.is_zeroish(), f"inverse contradicts identity: {x}"
             # quality floor: elimination must keep a usable depth
             agree(g * gi, ctx.identity, 8)
     # a singular matrix is rejected
@@ -243,6 +253,199 @@ def test_mul_mixed_primes_raises_as_the_kernel_does():
             ctx3.identity * b
     with pytest.raises(ValueError, match=r"^mixed primes 5 and 3$"):
         ctx5.mat([[0, 0], [0, 0]]) * ctx3.identity
+
+
+def _single_live_left(ctx, rng):
+    """Left factor whose rows are all-exact-zero or hold one live entry.
+
+    A live entry is drawn like a dense one, so it may be an approximate
+    zero, or is an approximate zero, and sits at a random column.
+    """
+    dense = _mixed_matrix(ctx, rng)
+    rows = []
+    for i in range(ctx.n):
+        row = [ctx.zero] * ctx.n
+        if rng.randrange(3):
+            k = rng.randrange(ctx.n)
+            row[k] = rng.choice([PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12)),
+                                 dense[i, k]])
+        rows.append(row)
+    return ctx.mat(rows)
+
+
+def test_mul_single_term_rows_match_chained_scalars():
+    rng = random.Random(7)
+    for ctx in ALL_CTX:
+        n = ctx.n
+        for _ in range(100):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            exps = [rng.randrange(-3, 4) for _ in range(n)]
+            units = [rng.randrange(1, ctx.p**5) * ctx.p + 1 for _ in range(n)]
+            # one row whose one live entry is an approximate zero
+            approx = [list(r) for r in ctx.diag(exps).rows]
+            k = rng.randrange(n)
+            approx[k][k] = PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12))
+            lefts = [ctx.diag(exps), ctx.diag(exps, units), ctx.perm(sigma),
+                     ctx.monomial(sigma, exps), ctx.identity, ctx.mat([[0] * n] * n),
+                     ctx.mat(approx), _single_live_left(ctx, rng), _mixed_matrix(ctx, rng)]
+            rights = [_mixed_matrix(ctx, rng), ctx.random_element(rng),
+                      _single_live_right(ctx, rng), ctx.identity]
+            for a in lefts:
+                for b in rights:
+                    assert _raw_rows((a * b).rows) == _raw_rows(_chained_mul(a, b))
+
+
+# The row and column steps as they were before skipping exact-zero
+# partners: every entry, and every tracked one, goes through the kernel.
+
+def _ref_sub_row(A, dst, src, c, left=None):
+    A[dst] = [_fold(x, (), ((c, y),)) for x, y in zip(A[dst], A[src])]
+    if left is not None:
+        for r in left:
+            r[src] = _fold(r[src], ((c, r[dst]),))
+
+
+def _ref_sub_col(A, dst, src, c, right=None):
+    for r in A:
+        r[dst] = _fold(r[dst], (), ((c, r[src]),))
+    if right is not None:
+        right[src] = [_fold(x, ((c, y),)) for x, y in zip(right[src], right[dst])]
+
+
+def test_steps_skipping_exact_zero_partners_match_the_kernel():
+    rng = random.Random(8)
+    for ctx in ALL_CTX:
+        n = ctx.n
+        for _ in range(100):
+            A = [list(r) for r in _mixed_matrix(ctx, rng).rows]
+            # tracked transforms start as the identity or hold every kind of entry
+            T = [list(r) for r in rng.choice([ctx.identity, _mixed_matrix(ctx, rng)]).rows]
+            got = ([r[:] for r in A], [r[:] for r in T])
+            want = ([r[:] for r in A], [r[:] for r in T])
+            for _ in range(4):
+                dst, src = rng.sample(range(n), 2)
+                c = _mixed_matrix(ctx, rng)[0, 0]
+                step, ref = rng.choice([(_sub_row, _ref_sub_row), (_sub_col, _ref_sub_col)])
+                tracked = rng.random() < 0.8
+                step(got[0], dst, src, c, got[1] if tracked else None)
+                ref(want[0], dst, src, c, want[1] if tracked else None)
+                assert _raw_rows(got[0]) == _raw_rows(want[0])
+                assert _raw_rows(got[1]) == _raw_rows(want[1])
+
+
+def _ref_mat_agreement(a, b):
+    """The agreement as it was: the floor over every difference entry."""
+    return min(x.val_floor() for x in _differences(a, b))
+
+
+def _sharing_pair(ctx, rng):
+    """(a, b) with every kind of entry, b holding some of a's very objects."""
+    a, other = _mixed_matrix(ctx, rng), _mixed_matrix(ctx, rng)
+    share = rng.random()
+    rows = [[x if rng.random() < share else y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a.rows, other.rows)]
+    return a, ctx.mat(rows)
+
+
+def test_mat_agreement_matches_difference_matrix():
+    rng = random.Random(9)
+    for ctx in ALL_CTX:
+        for _ in range(150):
+            a, b = _sharing_pair(ctx, rng)
+            # canonical forms share ctx.one and ctx.zero at common pivots
+            c1 = boundary_simplex(ctx.random_element(rng), ctx.full_dims).canon
+            c2 = boundary_simplex(ctx.random_element(rng), ctx.full_dims).canon
+            for x, y in ((a, b), (b, a), (a, a), (c1, c2), (c1, c1), (c1, a)):
+                assert mat_agreement(x, y) == _ref_mat_agreement(x, y)
+
+
+# The Gauss-Jordan loop as it was before skipping unit pivots, with the
+# row steps as they were.
+
+def _ref_echelon_rows(ctx, rows):
+    R = [list(r) for r in rows]
+    m = len(R)
+    k = len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(k):
+        if r >= m:
+            break
+        piv = _pivot(R, ((i, c) for i in range(r, m)))
+        if piv is None:
+            continue
+        R[r], R[piv[0]] = R[piv[0]], R[r]
+        pinv = R[r][c].inv()
+        R[r] = [e * pinv for e in R[r]]
+        for i in range(m):
+            if i != r and not R[i][c].is_zeroish():
+                _ref_sub_row(R, i, r, R[i][c])
+        pivots.append((r, c))
+        r += 1
+    return R, pivots
+
+
+def _unit_pivot_rows(ctx, rng):
+    """Rows whose first pivot is exactly 1 at precision w: the other rows
+    start with valuation 1 or more, and the pivot row may hold an entry
+    finer than w."""
+    p, n = ctx.p, ctx.n
+    w = rng.randrange(1, N + 1)
+    rows = [list(r) for r in _mixed_matrix(ctx, rng).rows]
+    rows[0][0] = PadicScalar(p, 0, 1, w)
+    for r in rows[1:]:
+        r[0] = rng.choice([ctx.zero, PadicScalar(p, rng.randrange(1, 4), 1 + p, N)])
+    if rng.random() < 0.5:
+        j = rng.randrange(1, n)
+        rows[0][j] = PadicScalar(p, rng.randrange(-2, 3), 1 + p, rng.randrange(w, N + 1))
+    return rows, w
+
+
+def test_echelon_rows_match_reference():
+    rng = random.Random(10)
+    for ctx in ALL_CTX:
+        n = ctx.n
+        for _ in range(100):
+            inputs = [[list(r) for r in _mixed_matrix(ctx, rng).rows],
+                      _unit_pivot_rows(ctx, rng)[0]]
+            for rows in inputs:
+                # as Mat.inv reduces it: [g | I]
+                aug = [r + list(e) for r, e in zip(rows, ctx.identity.rows)]
+                for x in (rows, aug):
+                    got, got_pivots = _echelon_rows(ctx, x)
+                    want, want_pivots = _ref_echelon_rows(ctx, x)
+                    assert got_pivots == want_pivots
+                    assert _raw_rows(got) == _raw_rows(want)
+
+
+def test_unit_pivot_over_a_finer_entry_takes_the_full_normalisation():
+    ctx = GroupContext(3, 3, 8)
+    one = PadicScalar(3, 0, 1, 4)
+    fine = PadicScalar(3, 0, 2 + 3**6, 8)  # known to 8 digits, more than the pivot
+    rows = [[one, fine, ctx.zero],
+            [PadicScalar(3, 1, 1, 8), ctx.one, ctx.zero],
+            [ctx.zero, ctx.zero, ctx.one]]
+    R, _ = _echelon_rows(ctx, rows)
+    want, _ = _ref_echelon_rows(ctx, rows)
+    assert _raw_rows(R) == _raw_rows(want)
+    # alone, the row is only normalised: dividing by the pivot cut the
+    # finer entry to the pivot's 4 digits
+    R, _ = _echelon_rows(ctx, rows[:1])
+    assert _raw_rows(R) == [[(3, 0, 1, 4), (3, 0, 2, 4), (3, INF, 0, 0)]]
+    # without the finer entry the row is left as it is
+    rows[0][1] = PadicScalar(3, 0, 2, 4)
+    R, _ = _echelon_rows(ctx, rows[:1])
+    assert R[0] == rows[0] and R[0][1] is rows[0][1]
+
+
+def test_group_context_mat_rejects_mixed_primes():
+    ctx = GroupContext(2, 3, N)
+    for x in (PadicScalar(5, 1, 2, 8), PadicScalar.zero(5), PadicScalar.near_zero(5, 3)):
+        with pytest.raises(ValueError, match=r"^mixed primes 3 and 5$"):
+            ctx.mat([[1, 0], [x, 1]])
+    x = PadicScalar(3, 1, 2, 8)
+    assert ctx.mat([[1, 0], [x, 1]])[1, 0] is x
 
 
 # The samplers as they were before drawing on raw integers: the reference
@@ -442,7 +645,7 @@ def _ref_canonical_flag(ctx, g, dims):
                 c = cols[j][r]
                 if c.is_zeroish():
                     continue
-                _sub_row(cols, j, pivot_of_col.index(r), c)
+                _ref_sub_row(cols, j, pivot_of_col.index(r), c)
                 cols[j][r] = ctx.zero
         done = []
         while len(done) < len(block):
@@ -484,7 +687,7 @@ def _ref_canonical_flag(ctx, g, dims):
                     continue
                 c = cols[j][pr]
                 if not c.is_zeroish():
-                    _sub_row(cols, j, pc, c)
+                    _ref_sub_row(cols, j, pc, c)
                 cols[j][pr] = ctx.zero
             pivot_rows.append(pr)
             pivot_of_col[pc] = pr

@@ -47,10 +47,7 @@ def test_rotation_conjugation_identity_oracle():
             assert (g[1, 0] + t.shift(4 * n)).is_zeroish()
             assert (g[0, 0] - h[0, 0]).is_zeroish()
             u = ctx.mat([[one, t], [ctx.zero, one]])
-            diff = g - u
-            floor = min(diff[i, j].val_floor() for i in range(2)
-                        for j in range(2))
-            assert floor == 4 * n
+            assert mat_agreement(g, u) == 4 * n
 
 
 def test_rotation_sampler_membership():

@@ -33,7 +33,7 @@ from buildinglab.dynamics import (
     newton_slopes,
     verify_transit,
 )
-from buildinglab.dynamics import _mat_power
+from buildinglab.dynamics import _mat_power, _radius
 from buildinglab.padic import INF, PadicScalar
 
 N = 32
@@ -377,6 +377,54 @@ def test_agreement_gate_face_monotone():
         for dims in ((1,), (2,), (1, 2)):
             r_f = agreement_gate(base, c1.face(dims), c2.face(dims)).radius
             assert r_f >= r_ch
+
+
+def _ref_radius(a, b):
+    """The gate radius as it was: every difference entry by scalar ops."""
+    diff = [x - y for ra, rb in zip(a.canon.rows, b.canon.rows)
+            for x, y in zip(ra, rb)]
+    if all(x.is_zeroish() for x in diff):
+        return INF
+    return min(x.val_floor() for x in diff)
+
+
+def _perturbed(ctx, s, rng):
+    """A simplex of the type of s whose representative keeps some of the
+    very objects of s's, moves others below a random depth, and replaces
+    the rest by approximate or exact zeros."""
+    p = ctx.p
+    rows = []
+    for row in s.canon.rows:
+        out = []
+        for x in row:
+            t = rng.random()
+            if t < 0.5:
+                out.append(x)
+            elif t < 0.7:
+                out.append(x + PadicScalar(p, rng.randrange(0, 40), 1, N))
+            elif t < 0.85:
+                out.append(PadicScalar.near_zero(p, rng.randrange(-2, 40)))
+            else:
+                out.append(ctx.zero)
+        rows.append(out)
+    return building.IdealSimplex(ctx, s.dims, building.Mat(ctx, rows))
+
+
+def test_radius_matches_difference_matrix():
+    rng = random.Random(49)
+    for n, p in ((2, 3), (3, 3), (3, 5), (4, 2)):
+        ctx = GroupContext(n, p)
+        zeros = building.Mat(ctx, [[PadicScalar.near_zero(p, 5 + i)] * n for i in range(n)])
+        for _ in range(60):
+            c1 = boundary_simplex(ctx.random_element(rng), ctx.full_dims)
+            c2 = boundary_simplex(ctx.random_element(rng), ctx.full_dims)
+            near = _perturbed(ctx, c1, rng)
+            # every difference zeroish, none of them exactly zero
+            flat = building.IdealSimplex(ctx, c1.dims, zeros)
+            pairs = [(c1, c2), (c1, c1), (c1, near), (near, c1), (near, _perturbed(ctx, near, rng)),
+                     (flat, _perturbed(ctx, flat, rng)), (flat, flat)]
+            for a, b in pairs:
+                assert _radius(a, b) == _ref_radius(a, b)
 
 
 def test_neighborhood_image_exact_transport():

@@ -53,3 +53,50 @@ def test_bench_record_summarises_a_pairing(tmp_path):
     assert m["parent"]["median"] == 101.0 and m["change"]["median"] == 80.5
     # two pairs are too few to claim a gain; both lie within the bound
     assert (m["wins"], m["pairs"], m["verdict"]) == (2, 2, "within bound")
+
+
+def test_preset_hashes_prints_one_line_per_offset_and_preset():
+    from buildinglab.cli import PRESETS
+
+    done = _run("preset_hashes.py", ["0", "3"])
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [(o, p) for o, p, _, _ in lines] == [
+        (o, p) for o in ("0", "3") for p in sorted(PRESETS)]
+    for _, _, code, digest in lines:
+        assert code in ("0", "1", "3")
+        if code == "3":
+            assert digest == "-"
+        else:
+            assert len(digest) == 16 and int(digest, 16) >= 0
+    # the offset moves every preset's seed, and so its report
+    assert all(a[3] != b[3] for a, b in zip(lines, lines[len(PRESETS):])
+               if a[3] != "-")
+    assert _run("preset_hashes.py", []).returncode == 2
+
+
+def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
+    import runpy
+
+    from buildinglab import cli
+    from buildinglab.dynamics import RamifiedSlopes
+    from buildinglab.padic import PrecisionExhausted
+
+    seeds = []
+
+    def run(cfg):
+        seeds.append(cfg.seed)
+        if cfg.kind == "dynamics":
+            raise PrecisionExhausted("flag degenerate within working precision")
+        if cfg.kind == "transit":
+            raise RamifiedSlopes("slopes are not integers")
+        return 1, {"meta": {"determinism_hash": "0123456789abcdef" * 4}}
+
+    monkeypatch.setattr(cli, "run", run)
+    main = runpy.run_path(str(ROOT / "scripts" / "preset_hashes.py"))["main"]
+    assert main(["5"]) == 0
+    names = sorted(cli.PRESETS)
+    assert seeds == [cli.PRESETS[name]["seed"] + 5 for name in names]
+    want = ["5 %s %s" % (name, {"dynamics": "3 -", "transit": "3 -"}.get(
+        cli.PRESETS[name]["kind"], "1 0123456789abcdef")) for name in names]
+    assert capsys.readouterr().out.splitlines() == want
