@@ -37,7 +37,19 @@ same way.  A row or column step leaves an entry as it is when its
 partner is an exact zero: no product is live, and ``_fold`` returns
 ``x`` itself.  ``mat_agreement`` and the gate radius read the floor of a
 difference through ``_diff_floor``, which builds no difference matrix
-and subtracts no entry that both sides share.
+and subtracts no entry that both sides share.  A recomposition residual
+``a * b - g`` is read through ``_residual_floor``, one kernel call
+``g_ij - sum(a_ik * b_kj)`` per entry, with no product matrix and no
+difference scalar.
+
+Structured factors are built directly, entry by entry, as the products
+they stand for would build them: ``diag`` without units and
+``monomial`` place ``p**e`` at ``N`` equal to the working precision,
+and Cartan's sorting permutation reorders the columns of k1 and the
+rows of k2, each entry multiplied by ``ctx.one`` as the permutation
+product multiplies it.  Iwasawa takes ``t**-1`` from the pivot inverses
+its column steps already computed: later steps never touch an earlier
+pivot.
 
 ``random_gl_zp`` draws raw ``(v, unit)`` pairs with the same ``rng`` calls
 as ``random_zp`` and redraws when the residue matrix mod p is singular,
@@ -80,7 +92,7 @@ from .coxeter import (
     get_system,
     weyl_from_permutation,
 )
-from .padic import INF, PadicScalar, PrecisionExhausted, _fold, _powers
+from .padic import INF, PadicScalar, PrecisionExhausted, _fold, _inv_unit, _powers
 
 __all__ = [
     "AffineWeylCoset",
@@ -247,6 +259,30 @@ def _diff_floor(a: Mat, b: Mat):
     return floor, live
 
 
+def _residual_floor(a: Mat, b: Mat, g: Mat):
+    """(floor, live) of the entries of ``a * b - g``, building no matrix.
+
+    Entry (i, j) is one kernel call ``g_ij - sum(a_ik * b_kj)``.  By the
+    closed form of ``padic._fold`` it has the floor and zeroishness of
+    the entry of ``_diff_floor(a * b, g)``, whose sign is the opposite,
+    and mixed primes raise the ``ValueError`` that route raises.
+    """
+    p = a.ctx.p
+    for m in (b, g):
+        if m.ctx.p != p:
+            raise ValueError(f"mixed primes {p} and {m.ctx.p}")
+    floor, live = INF, False
+    cols = list(zip(*b.rows))
+    for row, grow in zip(a.rows, g.rows):
+        for col, y in zip(cols, grow):
+            d = _fold(y, (), zip(row, col))
+            if d.unit:
+                live = True
+            if d.v < floor:
+                floor = d.v
+    return floor, live
+
+
 # ---------------------------------------------------------------------------
 # elimination core
 
@@ -310,7 +346,8 @@ def _clear_cross(ctx, A, pi, pj, rows, cols, left, right):
     """Clear column pj over rows, then row pi over cols, with pivot A[pi][pj].
 
     Cleared entries are set to the exact zero: the operations cancel them
-    by construction, whatever digits the subtraction kept.
+    by construction, whatever digits the subtraction kept.  Returns the
+    pivot's inverse.
     """
     pinv = A[pi][pj].inv()
     for i in rows:
@@ -321,6 +358,7 @@ def _clear_cross(ctx, A, pi, pj, rows, cols, left, right):
         if j != pj and not A[pi][j].is_zeroish():
             _sub_col(A, j, pj, A[pi][j] * pinv, right)
             A[pi][j] = ctx.zero
+    return pinv
 
 
 def _echelon_rows(ctx: "GroupContext", rows: List[List[PadicScalar]]):
@@ -477,11 +515,13 @@ class GroupContext:
         return Mat(self, rows)
 
     def diag(self, exps: Sequence[int], units: Optional[Sequence[int]] = None) -> Mat:
-        n = self.n
+        n, p, N = self.n, self.p, self.precision
         rows = [[self.zero for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            u = 1 if units is None else units[i]
-            rows[i][i] = PadicScalar.from_int(u, self.p, self.precision).shift(exps[i])
+            if units is None:
+                rows[i][i] = PadicScalar(p, exps[i], 1, N)
+            else:
+                rows[i][i] = PadicScalar.from_int(units[i], p, N).shift(exps[i])
         return Mat(self, rows)
 
     def perm(self, sigma: Sequence[int]) -> Mat:
@@ -497,7 +537,12 @@ class GroupContext:
         return self.perm(tuple(range(self.n - 1, -1, -1)))
 
     def monomial(self, sigma: Sequence[int], exps: Sequence[int]) -> Mat:
-        return self.perm(sigma) * self.diag(exps)
+        """``perm(sigma) * diag(exps)``: e_j goes to p^{exps[j]} e_{sigma(j)}."""
+        n, p, N = self.n, self.p, self.precision
+        rows = [[self.zero for _ in range(n)] for _ in range(n)]
+        for j in range(n):
+            rows[sigma[j]][j] = PadicScalar(p, exps[j], 1, N)
+        return Mat(self, rows)
 
     # -- reference boundary data ------------------------------------------
 
@@ -707,7 +752,7 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
             u0, w0 = col[pr].unit, col[pr].N
             if u0 != 1 or any(x.N > w0 or x.p != p for x in col):
                 pw0 = _powers(p, w0)
-                cols[pc] = col = _times(col, p, 0, pow(u0, -1, pw0[w0]), w0, pw0)
+                cols[pc] = col = _times(col, p, 0, _inv_unit(u0, p, w0), w0, pw0)
             col[pr] = ctx.one
             for j in block:
                 if j == pc:
@@ -884,15 +929,14 @@ def cartan_decomposition(g: Mat) -> Tuple[Mat, Tuple[int, ...], Mat]:
         exps.append(A[t][t].valuation())
         rest = range(t + 1, n)
         _clear_cross(ctx, A, t, t, rest, rest, k1, k2)
-    # sort exponents descending by conjugating with a permutation
+    # sort exponents descending by conjugating with a permutation: with
+    # P = perm(sigma), sigma the inverse of order, K1 = k1 * P^-1 takes
+    # the columns of k1 in order and K2 = P * k2 its rows; each entry is
+    # the product with ctx.one, which cuts it to the working precision
     order = sorted(range(n), key=lambda i: -exps[i])
-    sigma = [0] * n
-    for pos, src in enumerate(order):
-        sigma[src] = pos
-    P = ctx.perm(sigma)
-    Pinv = ctx.perm(order)
-    K1 = Mat(ctx, k1) * Pinv
-    K2 = P * Mat(ctx, k2)
+    one = ctx.one
+    K1 = Mat(ctx, [[row[i] * one for i in order] for row in k1])
+    K2 = Mat(ctx, [[one * x for x in k2[i]] for i in order])
     return K1, tuple(exps[i] for i in order), K2
 
 
@@ -910,21 +954,22 @@ def iwasawa_decomposition(g: Mat, lower: bool = True) -> Tuple[Mat, Mat, Mat]:
     n = g.n
     A = [list(r) for r in g.rows]
     k = [list(r) for r in ctx.identity.rows]
+    tinv = []
     for i in range(n):
         piv = _pivot(A, ((i, j) for j in range(i, n)))
         if piv is None:
             raise PrecisionExhausted("matrix singular within precision")
         _swap_cols(A, i, piv[1], k)
-        _clear_cross(ctx, A, i, i, (), range(i + 1, n), None, k)
-    t_entries = [A[i][i] for i in range(n)]
+        # later steps touch only columns right of i, so the pivot A[i][i]
+        # is final and its inverse is the inverse of t's entry i
+        tinv.append(_clear_cross(ctx, A, i, i, (), range(i + 1, n), None, k))
     t = Mat(
         ctx,
         [
-            [t_entries[i] if i == j else ctx.zero for j in range(n)]
+            [A[i][i] if i == j else ctx.zero for j in range(n)]
             for i in range(n)
         ],
     )
-    tinv = [x.inv() for x in t_entries]
     u = Mat(
         ctx,
         [[A[i][j] * tinv[j] for j in range(n)] for i in range(n)],

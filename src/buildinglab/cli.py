@@ -28,6 +28,7 @@ from .building import (
     _GROUP_RULES,
     _diff_floor,
     _int_det,
+    _residual_floor,
     bruhat_cell,
     cartan_decomposition,
     iwahori_coset,
@@ -365,10 +366,10 @@ def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
             g = mild_element(ctx, rng)
             base = g.min_val_floor()
             k1, exps, k2 = cartan_decomposition(g)
-            r = mat_agreement(k1 * ctx.diag(exps) * k2, g) - base
+            r = _residual_floor(k1 * ctx.diag(exps), k2, g)[0] - base
             stats["cartan_min"] = min(stats["cartan_min"], r)
             u, t, k = iwasawa_decomposition(g, lower=True)
-            r2 = mat_agreement(u * t * k, g) - base
+            r2 = _residual_floor(u * t, k, g)[0] - base
             stats["iwasawa_min"] = min(stats["iwasawa_min"], r2)
             if r < floor or r2 < floor:
                 failures += 1

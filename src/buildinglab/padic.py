@@ -32,12 +32,19 @@ exact zero if every term is one, ``O(p**M)`` if ``val(S) >= M``, and
 otherwise ``p**val(S) * unit`` with ``N = M - val(S)``.  So the kernel
 returns, bit for bit, what the chain of scalar operators returns.
 
+Units are inverted by one routine, ``_inv_unit``: the inverse modulo p,
+lifted by Newton steps ``r <- r*(2 - u*r)`` that double the number of
+correct digits up to ``N``.  The inverse modulo ``p**N`` is unique, so it
+is what ``pow(u, -1, p**N)`` gives.  ``PadicScalar.inv`` and the flag
+pivot normalisation in ``building`` use it.
+
 Powers of p come from one list per prime, ``_POWERS[p][k] == p**k``,
 grown on demand to at most twice the largest exponent asked for.  Every
-exponent asked for is below the largest relative precision ``N`` in
-use, since digits at or above ``M`` are never computed.  A grown list
-replaces the old one rather than extending it, so a list once read
-never changes.
+exponent asked for is at most the largest relative precision ``N`` in
+use: reductions modulo ``p**N`` (negation, products, unit inverses) ask
+for index ``N`` itself, and the kernel never computes digits at or
+above ``M``.  A grown list replaces the old one rather than extending
+it, so a list once read never changes.
 
 All values are immutable, so instances can be shared freely across
 threads.  Each prime has one shared exact zero, and an operation may
@@ -74,6 +81,25 @@ def _powers(p: int, k: int) -> list:
         size = max(k + 1, 2 * len(pw))
         _POWERS[p] = pw = [p**i for i in range(size)]
     return pw
+
+
+def _inv_unit(u: int, p: int, N: int) -> int:
+    """The inverse of the unit ``u`` modulo ``p**N``, reduced.
+
+    The inverse modulo p is lifted by Newton steps: if ``u*r == 1`` modulo
+    ``p**k`` then ``r*(2 - u*r)`` is the inverse modulo ``p**(2k)``.
+    """
+    if u == 1:
+        return 1
+    pw = _POWERS.get(p, ())
+    if len(pw) <= N:
+        pw = _powers(p, N)
+    r = pow(u, -1, p)
+    k = 1
+    while k < N:
+        k = k + k if k + k < N else N
+        r = r * (2 - u * r) % pw[k]
+    return r
 
 
 class PadicError(ArithmeticError):
@@ -279,8 +305,8 @@ class PadicScalar:
             raise PrecisionExhausted(
                 f"cannot invert a value indistinguishable from 0 (O({self.p}^{self.v}))"
             )
-        mod = self.p**self.N
-        return PadicScalar(self.p, -self.v, pow(self.unit, -1, mod), self.N)
+        return PadicScalar(self.p, -self.v, _inv_unit(self.unit, self.p, self.N),
+                           self.N)
 
     def shift(self, k: int) -> "PadicScalar":
         """Multiply by the exact power p**k."""

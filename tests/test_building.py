@@ -29,12 +29,17 @@ from buildinglab.building import (
 from buildinglab.building import (
     Mat,
     _canonical_flag,
+    _clear_cross,
     _combine_columns,
+    _diff_floor,
     _echelon_rows,
     _int_det,
     _pivot,
+    _residual_floor,
     _sub_col,
     _sub_row,
+    _swap_cols,
+    _swap_rows,
 )
 from buildinglab.dynamics import _radius, agreement_gate
 from buildinglab.coxeter import permutation_from_weyl, weyl_from_permutation
@@ -358,6 +363,63 @@ def test_mat_agreement_matches_difference_matrix():
             c2 = boundary_simplex(ctx.random_element(rng), ctx.full_dims).canon
             for x, y in ((a, b), (b, a), (a, a), (c1, c2), (c1, c1), (c1, a)):
                 assert mat_agreement(x, y) == _ref_mat_agreement(x, y)
+
+
+def _ref_residual_floor(a, b, g):
+    """(floor, live) of ``a * b - g`` by chained scalar products and
+    subtractions, as the recomposition checks read it before."""
+    d = _differences(Mat(a.ctx, _chained_mul(a, b)), g)
+    return min(x.val_floor() for x in d), any(not x.is_zeroish() for x in d)
+
+
+def _residual_inputs(ctx, rng):
+    """(a, b, g) with exact and approximate zeros, a row or column of exact
+    zeros, entries finer than the precision, and g cancelling a * b."""
+    a, b, g = (_mixed_matrix(ctx, rng) for _ in range(3))
+    n, p = ctx.n, ctx.p
+    rows = [list(r) for r in a.rows]
+    rows[rng.randrange(n)] = [ctx.zero] * n
+    cols = [list(r) for r in b.rows]
+    for r in cols:
+        r[rng.randrange(n)] = ctx.zero
+    fine = [[PadicScalar.from_unit(p, rng.randrange(-2, 3), rng.randrange(1, p**40) * p + 1,
+                                   N + rng.randrange(1, 9)) for _ in range(n)]
+            for _ in range(n)]
+    ab = a * b
+    near = [[x if rng.random() < 0.5 else _fold(x, ((y, y),)) for x, y in zip(r, rg)]
+            for r, rg in zip(ab.rows, g.rows)]
+    return [(a, b, g), (ctx.mat(rows), b, g), (a, b, ab), (a, b, ctx.mat(near)),
+            (ctx.mat(fine), b, g), (a, ctx.mat(fine), ctx.mat(fine)),
+            (ctx.mat(rows), ctx.mat(cols), ctx.mat([[0] * n] * n))]
+
+
+def test_residual_floor_matches_difference_of_product():
+    rng = random.Random(10)
+    for ctx in ALL_CTX:
+        for _ in range(60):
+            for a, b, g in _residual_inputs(ctx, rng):
+                want = _ref_residual_floor(a, b, g)
+                assert _residual_floor(a, b, g) == want
+                assert _diff_floor(a * b, g) == want
+    # the recomposition checks of the decompositions preset
+    for ctx in (GroupContext(2, 3, N), GroupContext(3, 5, N)):
+        for _ in range(40):
+            g = ctx.random_element(rng)
+            k1, exps, k2 = cartan_decomposition(g)
+            u, t, k = iwasawa_decomposition(g)
+            for a, b in ((k1 * ctx.diag(exps), k2), (u * t, k)):
+                assert _residual_floor(a, b, g) == _ref_residual_floor(a, b, g)
+
+
+def test_residual_floor_mixed_primes_raise_as_the_product_does():
+    ctx3, ctx5 = GroupContext(2, 3, N), GroupContext(2, 5, N)
+    a3, a5 = ctx3.diag((1, -1)), ctx5.diag((1, -1))
+    for a, b, g in ((a3, a5, a3), (a3, a3, a5), (a5, a3, a3), (a3, a5, a5)):
+        with pytest.raises(ValueError) as want:
+            _diff_floor(a * b, g)
+        with pytest.raises(ValueError) as got:
+            _residual_floor(a, b, g)
+        assert str(got.value) == str(want.value)
 
 
 # The Gauss-Jordan loop as it was before skipping unit pivots, with the
@@ -895,6 +957,121 @@ def test_iwasawa_decomposition_both_sides():
                         if i != j:
                             assert t[i, j].is_zeroish()
                 assert_recomposes(u * t * k, g)
+
+
+def _ref_diag(ctx, exps):
+    """The unit-free diagonal as it was built: from_int(1) shifted."""
+    n = ctx.n
+    return ctx.mat([[PadicScalar.from_int(1, ctx.p, ctx.precision).shift(exps[i])
+                     if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+# Cartan and Iwasawa as they were: the sorting permutation applied by two
+# matrix products, and t inverted after the elimination.
+
+
+def _ref_cartan(g):
+    ctx, n = g.ctx, g.n
+    A = [list(r) for r in g.rows]
+    k1 = [list(r) for r in ctx.identity.rows]
+    k2 = [list(r) for r in ctx.identity.rows]
+    exps = []
+    for t in range(n):
+        piv = _pivot(A, ((i, j) for i in range(t, n) for j in range(t, n)))
+        if piv is None:
+            raise PrecisionExhausted("matrix singular within precision")
+        _swap_rows(A, t, piv[0], k1)
+        _swap_cols(A, t, piv[1], k2)
+        u_inv = PadicScalar(ctx.p, -A[t][t].valuation(), 1, ctx.precision) * A[t][t]
+        c = u_inv.inv()
+        for r in A:
+            r[t] = r[t] * c
+        k2[t] = [u_inv * x for x in k2[t]]
+        exps.append(A[t][t].valuation())
+        rest = range(t + 1, n)
+        _clear_cross(ctx, A, t, t, rest, rest, k1, k2)
+    order = sorted(range(n), key=lambda i: -exps[i])
+    sigma = [0] * n
+    for pos, src in enumerate(order):
+        sigma[src] = pos
+    K1 = Mat(ctx, k1) * ctx.perm(order)
+    K2 = ctx.perm(sigma) * Mat(ctx, k2)
+    return K1, tuple(exps[i] for i in order), K2
+
+
+def _ref_iwasawa(g, lower=True):
+    ctx, n = g.ctx, g.n
+    if not lower:
+        J = ctx.reversal
+        u, t, k = _ref_iwasawa(J * g * J)
+        return J * u * J, J * t * J, J * k * J
+    A = [list(r) for r in g.rows]
+    k = [list(r) for r in ctx.identity.rows]
+    for i in range(n):
+        piv = _pivot(A, ((i, j) for j in range(i, n)))
+        if piv is None:
+            raise PrecisionExhausted("matrix singular within precision")
+        _swap_cols(A, i, piv[1], k)
+        _clear_cross(ctx, A, i, i, (), range(i + 1, n), None, k)
+    t = [A[i][i] for i in range(n)]
+    tinv = [x.inv() for x in t]
+    return (Mat(ctx, [[A[i][j] * tinv[j] for j in range(n)] for i in range(n)]),
+            Mat(ctx, [[t[i] if i == j else ctx.zero for j in range(n)]
+                      for i in range(n)]),
+            Mat(ctx, k))
+
+
+def _decomposition_inputs(ctx, rng):
+    """Random elements, monomial ones (whose k1 keeps single-term rows),
+    and elements with entries finer than the working precision."""
+    n, p = ctx.n, ctx.p
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    exps = [rng.randrange(-3, 4) for _ in range(n)]
+    units = [rng.randrange(1, p**5) * p + 1 for _ in range(n)]
+    fine = ctx.mat([[PadicScalar.from_unit(p, rng.randrange(0, 3), rng.randrange(1, p**40) * p + 1,
+                                           ctx.precision + rng.randrange(0, 9))
+                     for _ in range(n)] for _ in range(n)])
+    return [ctx.random_element(rng), ctx.random_iwahori(rng),
+            ctx.perm(sigma) * ctx.diag(exps, units), fine,
+            ctx.random_element(rng) * ctx.diag(exps, units)]
+
+
+def _decomposition_or_error(fn, g, **kw):
+    try:
+        return [_raw_rows(x.rows) if isinstance(x, Mat) else x for x in fn(g, **kw)]
+    except PrecisionExhausted as exc:
+        return str(exc)
+
+
+DECOMP_CTX = [GroupContext(2, 3, 1), GroupContext(2, 3, N), GroupContext(3, 5, N),
+              GroupContext(3, 2, 12), CTX4]
+
+
+def test_structured_factors_match_the_products():
+    rng = random.Random(11)
+    for ctx in DECOMP_CTX:
+        n = ctx.n
+        for _ in range(30):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            exps = [rng.randrange(-5, 6) for _ in range(n)]
+            want = _ref_diag(ctx, exps)
+            assert _raw_rows(ctx.diag(exps).rows) == _raw_rows(want.rows)
+            assert (_raw_rows(ctx.monomial(sigma, exps).rows)
+                    == _raw_rows((ctx.perm(sigma) * want).rows))
+
+
+def test_cartan_and_iwasawa_match_their_references():
+    rng = random.Random(12)
+    for ctx in DECOMP_CTX:
+        for _ in range(25):
+            for g in _decomposition_inputs(ctx, rng):
+                assert (_decomposition_or_error(cartan_decomposition, g)
+                        == _decomposition_or_error(_ref_cartan, g))
+                for lower in (True, False):
+                    assert (_decomposition_or_error(iwasawa_decomposition, g, lower=lower)
+                            == _decomposition_or_error(_ref_iwasawa, g, lower=lower))
 
 
 def test_iwahori_coset_recovers_synthesized_label():

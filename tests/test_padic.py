@@ -20,6 +20,7 @@ from buildinglab.padic import (
     PadicScalar,
     PrecisionExhausted,
     _fold,
+    _inv_unit,
     int_valuation,
 )
 
@@ -285,3 +286,29 @@ def test_power_table_stays_within_precision():
     assert raw(s) == raw(chained_fold(hi, [(lo, one)], [(one, hi)]))
     assert raw(hi + lo) == raw(lo)
     assert len(_POWERS[p]) <= 2 * 9
+
+
+# -- unit inverses --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 4294967291])
+def test_inv_unit_matches_pow(p):
+    rng = random.Random(p)
+    for n in (1, 2, 3, 31, 32, 33, 64, 200):
+        mod = p**n
+        units = {1, p - 1, p + 1, mod - 1}
+        units.update(u for u in (rng.randrange(1, mod) for _ in range(20)) if u % p)
+        for u in units:
+            assert _inv_unit(u, p, n) == pow(u, -1, mod)
+        # an unreduced unit is inverted modulo p**n all the same
+        assert _inv_unit(mod + p + 1, p, n) == pow(p + 1, -1, mod)
+
+
+def test_scalar_inverse_is_the_pow_inverse():
+    rng = random.Random(8)
+    for p in (2, 3, 5, 101):
+        for _ in range(200):
+            n = rng.randrange(1, 70)
+            x = _nonzero(p, rng.randrange(-6, 7), rng.randrange(1, p**n), n)
+            want = (p, -x.v, pow(x.unit, -1, p**n), n)
+            assert raw(x.inv()) == want

@@ -60,29 +60,39 @@ def test_preset_hashes_prints_one_line_per_offset_and_preset():
 
     done = _run("preset_hashes.py", ["0", "3"])
     assert done.returncode == 0, done.stderr
-    lines = [line.split() for line in done.stdout.splitlines()]
-    assert [(o, p) for o, p, _, _ in lines] == [
+    lines = [line.split(None, 4) for line in done.stdout.splitlines()]
+    assert [(o, p) for o, p, _, _, _ in lines] == [
         (o, p) for o in ("0", "3") for p in sorted(PRESETS)]
-    for _, _, code, digest in lines:
+    for _, _, code, digest, why in lines:
         assert code in ("0", "1", "3")
         if code == "3":
             assert digest == "-"
         else:
             assert len(digest) == 16 and int(digest, 16) >= 0
+        assert (why == "-") == (code == "0")
     # the offset moves every preset's seed, and so its report
     assert all(a[3] != b[3] for a, b in zip(lines, lines[len(PRESETS):])
                if a[3] != "-")
     assert _run("preset_hashes.py", []).returncode == 2
 
 
-def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
+def _preset_hashes():
     import runpy
 
+    return runpy.run_path(str(ROOT / "scripts" / "preset_hashes.py"))
+
+
+def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
     from buildinglab import cli
     from buildinglab.dynamics import RamifiedSlopes
     from buildinglab.padic import PrecisionExhausted
 
     seeds = []
+    results = {
+        "coxeter-oracle": {"failures": ["A2: braid", "A2: length"]},
+        "decompositions": {"failures": 2},
+        "chabauty": {"status": "ok", "recovered": [1, 2]},
+    }
 
     def run(cfg):
         seeds.append(cfg.seed)
@@ -90,13 +100,31 @@ def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
             raise PrecisionExhausted("flag degenerate within working precision")
         if cfg.kind == "transit":
             raise RamifiedSlopes("slopes are not integers")
-        return 1, {"meta": {"determinism_hash": "0123456789abcdef" * 4}}
+        return 1, {"meta": {"determinism_hash": "0123456789abcdef" * 4},
+                   "result": results[cfg.kind]}
 
     monkeypatch.setattr(cli, "run", run)
-    main = runpy.run_path(str(ROOT / "scripts" / "preset_hashes.py"))["main"]
-    assert main(["5"]) == 0
+    assert _preset_hashes()["main"](["5"]) == 0
     names = sorted(cli.PRESETS)
     assert seeds == [cli.PRESETS[name]["seed"] + 5 for name in names]
-    want = ["5 %s %s" % (name, {"dynamics": "3 -", "transit": "3 -"}.get(
-        cli.PRESETS[name]["kind"], "1 0123456789abcdef")) for name in names]
+    why = {"dynamics": "3 - flag degenerate within working precision",
+           "transit": "3 - slopes are not integers",
+           "coxeter-oracle": "1 0123456789abcdef failures=2",
+           "decompositions": "1 0123456789abcdef failures=2",
+           "chabauty": "1 0123456789abcdef status=ok recovered=2"}
+    want = ["5 %s %s" % (name, why[cli.PRESETS[name]["kind"]]) for name in names]
     assert capsys.readouterr().out.splitlines() == want
+
+
+def test_preset_hashes_reason_names_the_first_failing_record():
+    reason = _preset_hashes()["reason"]
+    records = [
+        {"index": 0, "hypothesis": False, "status": "stalled", "monotone": False},
+        {"index": 1, "hypothesis": True, "status": "converged", "monotone": True},
+        {"index": 2, "hypothesis": True, "status": "converged", "monotone": False},
+        {"index": 3, "hypothesis": True, "status": "stalled", "monotone": True},
+    ]
+    assert reason("dynamics", {"records": records}) == "index=2 status=converged"
+    assert reason("dynamics", {"records": records[3:]}) == "index=3 status=stalled"
+    targets = [{"index": i, "cofinal": i != 4 and i != 6} for i in range(8)]
+    assert reason("transit", {"targets": targets}) == "target=4"
