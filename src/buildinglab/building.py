@@ -82,8 +82,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import coxeter
 from .coxeter import (
@@ -931,12 +930,12 @@ def cartan_decomposition(g: Mat) -> Tuple[Mat, Tuple[int, ...], Mat]:
         _clear_cross(ctx, A, t, t, rest, rest, k1, k2)
     # sort exponents descending by conjugating with a permutation: with
     # P = perm(sigma), sigma the inverse of order, K1 = k1 * P^-1 takes
-    # the columns of k1 in order and K2 = P * k2 its rows; each entry is
-    # the product with ctx.one, which cuts it to the working precision
+    # the columns of k1 in order and K2 = P * k2 its rows; the elimination
+    # leaves every entry reduced within the working precision, so
+    # reordering is all that P does
     order = sorted(range(n), key=lambda i: -exps[i])
-    one = ctx.one
-    K1 = Mat(ctx, [[row[i] * one for i in order] for row in k1])
-    K2 = Mat(ctx, [[one * x for x in k2[i]] for i in order])
+    K1 = Mat(ctx, [[row[i] for i in order] for row in k1])
+    K2 = Mat(ctx, [k2[i] for i in order])
     return K1, tuple(exps[i] for i in order), K2
 
 
@@ -977,8 +976,7 @@ def iwasawa_decomposition(g: Mat, lower: bool = True) -> Tuple[Mat, Mat, Mat]:
     return u, t, Mat(ctx, k)
 
 
-@dataclass(frozen=True)
-class AffineWeylCoset:
+class AffineWeylCoset(NamedTuple):
     """Label of an Iwahori double coset: monomial permutation and exponents.
 
     The monomial representative sends e_j to p^{exps[j]} e_{perm[j]}.

@@ -13,8 +13,7 @@ inconclusive, never as evidence of triviality.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .padic import INF, NoSquareRoot, PadicScalar
 from .building import (
@@ -33,21 +32,15 @@ from .dynamics import HyperbolicCertificate, _validate_family
 # subgroup specifications
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(NamedTuple):
     """The rotation subgroup of SL2, given by its membership test.
 
     Its elements are the fixed points of the transpose-inverse
-    involution, the orthogonal matrices; a context of any other rank
-    raises ValueError.
+    involution, the orthogonal matrices; so2_subgroup builds it.
     """
 
     ctx: GroupContext
     label: str
-
-    def __post_init__(self):
-        if self.ctx.n != 2:
-            raise ValueError("rotation subgroup needs a rank-one context")
 
     def member(self, h: Mat) -> bool:
         return (mat_agreement(h.transpose() * h, self.ctx.identity)
@@ -55,7 +48,10 @@ class SubgroupSpec:
 
 
 def so2_subgroup(ctx: GroupContext) -> SubgroupSpec:
-    """Rotations [[a, b], [-b, a]] with a^2 + b^2 = 1, for n = 2."""
+    """Rotations [[a, b], [-b, a]] with a^2 + b^2 = 1, for n = 2; a
+    context of any other rank raises ValueError."""
+    if ctx.n != 2:
+        raise ValueError("rotation subgroup needs a rank-one context")
     return SubgroupSpec(ctx, "so2")
 
 
@@ -85,8 +81,7 @@ def rotation_toward(ctx: GroupContext, x: PadicScalar) -> Mat:
 # conjugation traces
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """One conjugation trace g_n = a_n h_n a_n^{-1} and its Cauchy data.
 
     agreements[k] is the valuation depth at which g_k and g_{k+1} agree;
@@ -141,8 +136,7 @@ def conjugate_trace(spec: SubgroupSpec,
 # aimed limit search
 
 
-@dataclass(frozen=True)
-class ChabautyReport:
+class ChabautyReport(NamedTuple):
     """Outcome of an aimed limit search along one conjugating family."""
 
     subgroup: str
@@ -258,8 +252,7 @@ def _closure_samples(spec, certs, params, limits, tail):
 # orbit openness
 
 
-@dataclass(frozen=True)
-class OPVerdict:
+class OPVerdict(NamedTuple):
     """One-sided check that the H-orbit of a boundary simplex is open.
 
     status "true-with-radius" means every sampled simplex within the
@@ -350,16 +343,14 @@ def _orbit_witness(spec: SubgroupSpec, sigma: IdealSimplex,
 # structure of the harvested limit set
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(NamedTuple):
     index: int
     unipotent: Mat
     levi: Mat
     residual: float
 
 
-@dataclass(frozen=True)
-class DecompositionTable:
+class DecompositionTable(NamedTuple):
     """Measured, not assumed, structure of a harvested limit set.
 
     Each limit element is factored as unipotent * levi relative to the
@@ -485,8 +476,7 @@ def nrp_verdict(table: DecompositionTable, depth: int) -> str:
 # transported stabilizer witnesses
 
 
-@dataclass(frozen=True)
-class TransPVerdict:
+class TransPVerdict(NamedTuple):
     """Witness search for one target opposite the attracting simplex.
 
     status "witness-found" records the first family index whose

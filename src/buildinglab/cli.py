@@ -10,12 +10,11 @@ Exit codes: 0 all checks passed, 1 an experiment invariant failed,
 """
 
 import argparse
-import dataclasses
-import datetime
 import hashlib
 import json
 import random
 import sys
+import time
 from typing import (Any, Callable, Dict, List, NamedTuple, NoReturn, Optional,
                     Sequence, Tuple)
 
@@ -147,8 +146,7 @@ _SCHEMA: Dict[str, Dict[str, _Field]] = {
 KINDS = tuple(_SCHEMA)
 
 
-@dataclasses.dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     kind: str
     group: Optional[Dict[str, int]]
     seed: int
@@ -586,7 +584,7 @@ def run(cfg: ExperimentConfig) -> Tuple[int, Dict[str, Any]]:
         json.dumps(body, sort_keys=True).encode()).hexdigest()
     body["meta"] = {
         "determinism_hash": digest,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
     return code, body
 
@@ -680,9 +678,9 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("subcommand %r needs a config of kind %r, got %r"
                           % (args.command, wanted, cfg.kind))
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = cfg._replace(seed=args.seed)
     if args.out is not None:
-        cfg.out = args.out
+        cfg = cfg._replace(out=args.out)
     return cfg
 
 

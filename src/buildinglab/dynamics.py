@@ -32,9 +32,8 @@ raw kernel ``padic._fold``.
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .padic import INF, PadicScalar, PrecisionExhausted, _fold
 from . import coxeter
@@ -163,8 +162,7 @@ def newton_slopes(coeffs: Sequence[PadicScalar]) -> Tuple[int, ...]:
 # -- hyperbolicity certificates ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperbolicCertificate:
+class HyperbolicCertificate(NamedTuple):
     """Witness data for a translation-like element.
 
     exps lists the eigenvalue valuations in descending order, so it is
@@ -321,8 +319,7 @@ def classify(
 # -- agreement gates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GateMeasure:
+class GateMeasure(NamedTuple):
     """A vertex of the standard apartment and an agreement depth.
 
     Describes the neighborhood of all boundary simplices whose
@@ -496,8 +493,7 @@ def _stable_refinement(
 # -- the projection hypothesis ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Outcome of the residue-projection test at the repelling simplex.
 
     core is the face of the gate chamber whose star is the full
@@ -548,8 +544,7 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
 # -- iterated boundary dynamics ----------------------------------------------
 
 
-@dataclass
-class LimitReport:
+class LimitReport(NamedTuple):
     status: str
     limit: Optional[IdealSimplex]
     retraction_value: Optional[IdealSimplex]
@@ -669,15 +664,13 @@ def limit_boundary(
 # -- absorption along translation families ------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitTarget:
+class TransitTarget(NamedTuple):
     index: int
     first_n: Optional[int]
     cofinal: bool
 
 
-@dataclass(frozen=True)
-class TransitReport:
+class TransitReport(NamedTuple):
     targets: List[TransitTarget]
     all_absorbed: bool
 

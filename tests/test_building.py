@@ -41,6 +41,7 @@ from buildinglab.building import (
     _swap_cols,
     _swap_rows,
 )
+from buildinglab.cli import mild_element
 from buildinglab.dynamics import _radius, agreement_gate
 from buildinglab.coxeter import permutation_from_weyl, weyl_from_permutation
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted, _fold
@@ -1072,6 +1073,28 @@ def test_cartan_and_iwasawa_match_their_references():
                 for lower in (True, False):
                     assert (_decomposition_or_error(iwasawa_decomposition, g, lower=lower)
                             == _decomposition_or_error(_ref_iwasawa, g, lower=lower))
+
+
+def test_cartan_factors_stay_within_working_precision():
+    """Every k1/k2 entry is reduced at the working precision: multiplying
+    it by ctx.one, as a permutation product would, changes no field."""
+    rng = random.Random(13)
+    for ctx in DECOMP_CTX:
+        p, one = ctx.p, ctx.one
+        for _ in range(25):
+            for g in [mild_element(ctx, rng), *_decomposition_inputs(ctx, rng)]:
+                try:
+                    k1, _, k2 = cartan_decomposition(g)
+                except PrecisionExhausted:
+                    continue
+                for x in (x for m in (k1, k2) for row in m.rows for x in row):
+                    assert x.N <= ctx.precision
+                    if x.unit:
+                        assert 0 < x.unit < p**x.N and x.unit % p
+                    else:  # a zero; an exact one has the shared INF as v
+                        assert x.N == 0 and (x.v is INF or x.v != INF)
+                    y = x * one
+                    assert (x.v, x.unit, x.N) == (y.v, y.unit, y.N)
 
 
 def test_iwahori_coset_recovers_synthesized_label():

@@ -7,7 +7,6 @@ the conjugate to t exactly and pushes everything else to the identity
 at rate p^{-4n}.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -200,7 +199,7 @@ def test_decompose_limit_table_and_nrp():
     last = table.rows[-1]
     assert mat_agreement(last.unipotent, ctx.identity) >= N - 4
     assert ch.nrp_verdict(table, N - 4) == "consistent-with-(NRP)"
-    worse = dataclasses.replace(table, gamma_normalizes=False)
+    worse = table._replace(gamma_normalizes=False)
     assert ch.nrp_verdict(worse, N - 4) == "not-established"
 
 

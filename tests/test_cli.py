@@ -270,6 +270,14 @@ def test_main_determinism_and_files(tmp_path, capsys):
     assert "exit 0" in summary
 
 
+def test_timestamp_is_iso_8601_utc():
+    from datetime import datetime, timedelta, timezone
+    _, body = run(parse_config({"kind": "coxeter-oracle", "types": ["A1"]}))
+    stamp = datetime.fromisoformat(body["meta"]["timestamp"])
+    assert stamp.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - stamp) < timedelta(minutes=5)
+
+
 def test_main_overrides_and_records(tmp_path, capsys):
     cfg = tmp_path / "dyn.json"
     cfg.write_text(json.dumps({

@@ -5,7 +5,10 @@ side choice that the rest of the suite silently relies on.
 """
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -168,7 +171,7 @@ def test_no_unused_imports():
 
 # public names that nothing in src/, scripts/ or the acceptance suite reaches
 _UNREACHED = {
-    "project_to_residue": "ROADMAP item 1 gives it a caller",
+    "project_to_residue": "ROADMAP item 2 gives it a caller",
     "is_regular": "ROADMAP item 6 gives it a caller",
     "agreement_gate": "CONVENTIONS.md defines the gate by it",
     "from_unit": "tests build scalars with it",
@@ -242,3 +245,15 @@ def test_every_defaulted_parameter_is_passed():
         never += ["%s(%s)" % (name, x) for x, pos in defaulted
                   if not any(_passed(c, x, pos) for c in calls.get(name, ()))]
     assert never == []
+
+
+def test_cli_imports_no_heavy_stdlib_modules():
+    """Records are NamedTuples and the timestamp comes from time, so the
+    program's start-up compiles and runs none of these modules."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "datetime")
+    code = ("import sys, buildinglab.cli; "
+            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+    env = dict(os.environ, PYTHONPATH=str(_REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
