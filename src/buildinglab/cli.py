@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 an experiment invariant failed,
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -625,8 +626,6 @@ def _summary_lines(code: int, body: Dict[str, Any]) -> List[str]:
 
 
 def _write_out(out_dir: str, code: int, body: Dict[str, Any]) -> None:
-    import os
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(body, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -681,6 +680,11 @@ def _load_config(args) -> ExperimentConfig:
         cfg = cfg._replace(seed=args.seed)
     if args.out is not None:
         cfg = cfg._replace(out=args.out)
+    if cfg.out:  # a report directory that cannot be made fails before the run
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot write reports: %s" % exc)
     return cfg
 
 
@@ -715,7 +719,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     print("\n".join(_summary_lines(code, body)))
     if cfg.out:
-        _write_out(cfg.out, code, body)
+        try:
+            _write_out(cfg.out, code, body)
+        except OSError as exc:
+            print("cannot write reports: %s" % exc, file=sys.stderr)
+            return 2
     return code
 
 

@@ -5,10 +5,10 @@ realised on root-space coordinates: a group element is the integer matrix
 of its action on the simple-root basis.  Each system enumerates its group
 once from that faithful representation and numbers the elements in
 ShortLex order of their reduced words; an element is a handle carrying
-that index.  Products, inverses, left and right descents and inversion
-sets are then table lookups, built from the matrices of the generator
-products the enumeration makes, so two elements are equal exactly when
-their matrices agree.
+that index.  Products, inverses, left and right descents, inversion
+sets and gallery distances are then table lookups, built from the
+matrices of the generator products the enumeration makes, so two
+elements are equal exactly when their matrices agree.
 
 Generators are 0-indexed throughout.  For the linear types A_r this means
 s_i corresponds to the adjacent transposition of positions i and i+1.
@@ -184,8 +184,11 @@ class CoxeterSystem:
                 row.append(right[row[parent[b]]][words[b][-1]])
             products.append(row)
         inverses = [row.index(0) for row in products]
+        lengths = [len(word) for word in words]
+        # gallery distance d(a, b) = l(a^-1 b)
+        distances = [[lengths[k] for k in products[inverses[a]]] for a in range(n)]
         right_descents = [
-            frozenset(i for i, k in enumerate(right[w]) if len(words[k]) < len(words[w]))
+            frozenset(i for i, k in enumerate(right[w]) if lengths[k] < lengths[w])
             for w in range(n)
         ]
         # N(w s) = N(w) + {w alpha_s} when l(w s) > l(w); w alpha_s is column s of w
@@ -204,6 +207,7 @@ class CoxeterSystem:
         self._right_descents = right_descents
         self._left_descents = [right_descents[k] for k in inverses]
         self._inversion_sets = inversions
+        self._distances = distances
 
     # -- element construction -------------------------------------------
 
@@ -265,24 +269,18 @@ class CoxeterSystem:
     def min_coset_rep(self, w: WeylElement, J: Iterable[int]) -> WeylElement:
         """Minimal-length representative of the right coset w * W_J."""
         J = frozenset(J)
-        changed = True
-        while changed:
-            changed = False
-            for j in sorted(J & w.right_descents()):
-                w = w * self.simple(j)
-                changed = True
-                break
+        strip = J & w.right_descents()
+        while strip:
+            w = w * self.simple(min(strip))
+            strip = J & w.right_descents()
         return w
 
     def min_coset_rep_left(self, I: Iterable[int], w: WeylElement) -> WeylElement:
         I = frozenset(I)
-        changed = True
-        while changed:
-            changed = False
-            for i in sorted(I & w.left_descents()):
-                w = self.simple(i) * w
-                changed = True
-                break
+        strip = I & w.left_descents()
+        while strip:
+            w = self.simple(min(strip)) * w
+            strip = I & w.left_descents()
         return w
 
     def min_double_coset_rep(
@@ -335,11 +333,11 @@ class CoxeterSystem:
 
     def convex_hull(self, c: WeylElement, d: WeylElement) -> FrozenSet[WeylElement]:
         """Chambers lying on some minimal gallery from c to d."""
-        target = (c.inverse() * d).length
+        from_c = self._distances[c.index]
+        from_d = self._distances[d.index]  # l(d^-1 x) = l(x^-1 d)
+        target = from_c[d.index]
         return frozenset(
-            x
-            for x in self.elements()
-            if (c.inverse() * x).length + (x.inverse() * d).length == target
+            x for x, a, b in zip(self._elements, from_c, from_d) if a + b == target
         )
 
 

@@ -7,9 +7,13 @@ parabolic subgroups, explicit half-space intersections (Casselman,
 ch. 3).  ``check_system`` runs the exhaustive comparison behind the
 ``coxeter-oracle`` preset; the remaining oracles serve the tests.
 
-Coset oracles take the parabolic subgroup as its list of elements, so a
-caller that checks many cosets enumerates each W_J once.  They report
-how many elements tie for the least length instead of asserting
+``coset_minima`` enumerates each double coset W_I w W_J once, over
+all products u w v, and gives its least element to every member; an
+empty I or J gives the one-sided cosets.  ``check_system`` thus makes
+one enumeration per coset and still one check, with one library call,
+per element.  Sharing relies only on the cosets partitioning the group,
+which holds because the product table is a group table.  The oracle
+reports how many elements tie for the least length instead of asserting
 uniqueness, so a wrong library answer is a recorded failure.
 """
 
@@ -33,21 +37,21 @@ def _least(elements: Sequence[WeylElement]) -> Tuple[WeylElement, int]:
     return elements[lengths.index(least)], lengths.count(least)
 
 
-def min_coset_by_enumeration(w: WeylElement, W_J: Sequence[WeylElement],
-                             side: str = "right") -> Tuple[WeylElement, int]:
-    """Least element of w W_J (or W_J w for side="left") over all of W_J,
-    and the number of coset elements of that length."""
-    if side == "left":
-        return _least([u * w for u in W_J])
-    return _least([w * u for u in W_J])
+def coset_minima(system: CoxeterSystem, I: FrozenSet[int], J: FrozenSet[int]
+                 ) -> Dict[WeylElement, Tuple[WeylElement, int]]:
+    """Every element w, mapped to the least element of W_I w W_J and the
+    number of distinct double-coset elements of that length.
 
-
-def min_double_coset_by_enumeration(W_I: Sequence[WeylElement], w: WeylElement,
-                                    W_J: Sequence[WeylElement]
-                                    ) -> Tuple[WeylElement, int]:
-    """Least element of W_I w W_J over all products u w v, and the number of
-    distinct double-coset elements of that length."""
-    return _least(list({u * w * v for u in W_I for v in W_J}))
+    Each double coset is enumerated once, over all products u w v, from
+    its first element in ShortLex order; its members share the result.
+    """
+    W_I, W_J = system.parabolic(I), system.parabolic(J)
+    out: Dict[WeylElement, Tuple[WeylElement, int]] = {}
+    for w in system.elements():
+        if w not in out:
+            coset = list({u * w * v for u in W_I for v in W_J})
+            out.update(dict.fromkeys(coset, _least(coset)))
+    return out
 
 
 def residue_type_by_conjugation(system: CoxeterSystem, I: FrozenSet[int],
@@ -78,8 +82,9 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
     name = system.name
     elements = system.elements()
     subs = subsets(system.rank)
-    par = {I: system.parabolic(I) for I in subs}
-    par_sets = {I: set(p) for I, p in par.items()}
+    par_sets = {I: set(system.parabolic(I)) for I in subs}
+    double = {(I, J): coset_minima(system, I, J) for I in subs for J in subs}
+    left = {I: double[I, frozenset()] for I in subs}  # the cosets W_I x
     checks = {"double-coset": 0, "residue-type": 0, "projection": 0,
               "separating-walls": 0, "hull-pairs": 0}
     failures: List[str] = []
@@ -87,7 +92,7 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
         for I in subs:
             for J in subs:
                 rep = system.min_double_coset_rep(I, w, J)
-                if min_double_coset_by_enumeration(par[I], w, par[J]) != (rep, 1):
+                if double[I, J][w] != (rep, 1):
                     failures.append("%s double-coset %r %s %r"
                                     % (name, sorted(I), w.word, sorted(J)))
                 checks["double-coset"] += 1
@@ -108,7 +113,7 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
             checks["hull-pairs"] += 1
             for I in subs:
                 gate = system.min_coset_rep_left(I, x)
-                if min_coset_by_enumeration(x, par[I], side="left") != (gate, 1):
+                if left[I][x] != (gate, 1):
                     failures.append("%s projection %r %s %s"
                                     % (name, sorted(I), c, d))
                 checks["projection"] += 1

@@ -235,6 +235,28 @@ def test_main_usage_exit_codes(tmp_path):
         main(["no-such-command"])
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    """A report path that cannot be written is a usage error: exit 2 with
+    one line naming the path, never a traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert main(["coxeter", "--preset", "coxeter-oracle", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the experiment runs
+        assert captured.err.count("\n") == 1 and str(out) in captured.err
+    # a directory in the way of report.json shows only while writing
+    blocked = tmp_path / "blocked"
+    (blocked / "report.json").mkdir(parents=True)
+    cfg = tmp_path / "cox.json"
+    cfg.write_text(json.dumps({"kind": "coxeter-oracle", "types": ["A1"]}))
+    assert main(["coxeter", "--config", str(cfg), "--out", str(blocked)]) == 2
+    captured = capsys.readouterr()
+    assert "exit 0" in captured.out
+    assert captured.err.count("\n") == 1
+    assert str(blocked / "report.json") in captured.err
+
+
 def test_main_precision_exhausted_exit(tmp_path):
     cfg = tmp_path / "ram.json"
     cfg.write_text(json.dumps({

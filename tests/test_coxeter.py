@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from buildinglab import oracles
 from buildinglab.coxeter import (
     AffineSystem,
+    CoxeterSystem,
     _identity_mat,
     _is_negative,
     _mat_mul,
@@ -108,13 +109,14 @@ def test_descent_criteria(name):
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
 def test_min_coset_reps_exhaustive(name):
     sys = get_system(name)
+    none = frozenset()
     for J in oracles.subsets(sys.rank):
+        right = oracles.coset_minima(sys, none, J)
+        left = oracles.coset_minima(sys, J, none)
         for w in sys.elements():
             fast = sys.min_coset_rep(w, J)
-            W_J = sys.parabolic(J)
-            assert oracles.min_coset_by_enumeration(w, W_J) == (fast, 1)
-            left = sys.min_coset_rep_left(J, w)
-            assert oracles.min_coset_by_enumeration(w, W_J, side="left") == (left, 1)
+            assert right[w] == (fast, 1)
+            assert left[w] == (sys.min_coset_rep_left(J, w), 1)
             # additive-length splitting of the coset
             u = fast.inverse() * w
             assert fast.length + u.length == w.length
@@ -123,18 +125,59 @@ def test_min_coset_reps_exhaustive(name):
 @pytest.mark.parametrize("name", ["A2", "A3", "B2"])
 def test_min_double_coset_reps(name):
     sys = get_system(name)
-    rng = random.Random(3)
-    cases = [
-        (I, w, J)
-        for I in oracles.subsets(sys.rank)
-        for J in oracles.subsets(sys.rank)
-        for w in rng.sample(sys.elements(), min(6, sys.order()))
+    for I in oracles.subsets(sys.rank):
+        for J in oracles.subsets(sys.rank):
+            brute = oracles.coset_minima(sys, I, J)
+            for w in sys.elements():
+                assert brute[w] == (sys.min_double_coset_rep(I, w, J), 1)
+
+
+class _WrongA2(CoxeterSystem):
+    """A2 whose library answers are wrong at one element of the four-element
+    double coset W_{0} e W_{1}, at the projection of s1 s0 to W_{1} and at the
+    hull of (e, s0 s1)."""
+
+    def __init__(self):
+        super().__init__("A2")
+
+    def min_double_coset_rep(self, I, w, J):
+        if (I, w.word, J) == ({0}, (0,), {1}):
+            return w
+        return super().min_double_coset_rep(I, w, J)
+
+    def min_coset_rep_left(self, I, w):
+        if (I, w.word) == ({1}, (1, 0)):
+            return w
+        return super().min_coset_rep_left(I, w)
+
+    def convex_hull(self, c, d):
+        if (c.word, d.word) == ((), (0, 1)):
+            return frozenset({c, d})
+        return super().convex_hull(c, d)
+
+
+def test_shared_enumeration_reports_every_wrong_answer():
+    """Each member of a coset is checked against the coset's shared minimum,
+    so a wrong answer at one member is a failure however the coset is
+    enumerated.  The list is the one a per-element enumeration gives: the
+    wrong projection also makes min_double_coset_rep wrong wherever its
+    reduction passes through s1 s0 with I = {1}."""
+    checks, failures = oracles.check_system(_WrongA2())
+    assert checks == {"double-coset": 96, "residue-type": 96, "projection": 144,
+                      "separating-walls": 36, "hull-pairs": 36}
+    assert failures == [
+        "A2 double-coset [0] (0,) [1]",
+        "A2 double-coset [1] (1, 0) []",
+        "A2 double-coset [1] (1, 0) [1]",
+        "A2 double-coset [1] (0, 1, 0) [1]",
+        "A2 hull e s0*s1",
+        "A2 projection [1] e s1*s0",
+        "A2 projection [1] s0 s0*s1*s0",
+        "A2 projection [1] s1 s0",
+        "A2 projection [1] s0*s1 e",
+        "A2 projection [1] s1*s0 s0*s1",
+        "A2 projection [1] s0*s1*s0 s1",
     ]
-    for I, w, J in cases:
-        fast = sys.min_double_coset_rep(I, w, J)
-        brute = oracles.min_double_coset_by_enumeration(
-            sys.parabolic(I), w, sys.parabolic(J))
-        assert brute == (fast, 1)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
@@ -179,6 +222,23 @@ def test_convex_hull_two_oracles(name):
         assert hull == oracles.hull_by_halfspace_intersection(sys, c, d)
         assert hull == oracles.hull_by_walls(sys, c, d)
         assert c in hull and d in hull
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_gallery_distance_table(name):
+    sys = get_system(name)
+    for a in sys.elements():
+        for b in sys.elements():
+            assert sys._distances[a.index][b.index] == (a.inverse() * b).length
+
+
+@pytest.mark.parametrize("name", ["A1", "C2"])
+def test_convex_hull_every_pair(name):
+    """Every pair in the two systems the coxeter-oracle preset leaves out."""
+    sys = get_system(name)
+    for c in sys.elements():
+        for d in sys.elements():
+            assert sys.convex_hull(c, d) == oracles.hull_by_walls(sys, c, d)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "C2"])
