@@ -10,7 +10,6 @@ Exit codes: 0 all checks passed, 1 an experiment invariant failed,
 """
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -18,6 +17,17 @@ import sys
 import time
 from typing import (Any, Callable, Dict, List, NamedTuple, NoReturn, Optional,
                     Sequence, Tuple)
+
+# hashlib maps OpenSSL's libcrypto, about 3.5 MB of memory, to hash a few
+# KB per report; CPython's built-in SHA-256 gives the same FIPS 180-4
+# digests.  random.py takes the same lean path.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # builds without the built-in hashes
 
 from .padic import INF, PrecisionExhausted
 from . import coxeter, oracles
@@ -54,12 +64,12 @@ class _Field(NamedTuple):
     """A config field: a value of exactly `type` (a bool is no integer) that
     passes each (expectation, test(value, group)) rule.  A callable default
     is a function of the group.  `fields` is an object's own table; each
-    list entry is checked as the one field of `entry`, named by its key."""
+    list entry is checked as an `entry` field named `<list>[<index>]`."""
     type: type
     default: Any = _REQUIRED
     rules: Tuple[Tuple[str, Callable[[Any, Any], Any]], ...] = ()
     fields: Optional[Dict[str, "_Field"]] = None
-    entry: Optional[Dict[str, "_Field"]] = None
+    entry: Optional["_Field"] = None
 
 
 def _ints(v: Any, n: int) -> bool:
@@ -93,7 +103,7 @@ _SCHEMA: Dict[str, Dict[str, _Field]] = {
     "decompositions": {
         "groups": _Field(list, rules=(("expected a non-empty list",
                                        lambda v, g: v),),
-                         entry={"group": _GROUP}),
+                         entry=_GROUP),
         "count": _Field(int, 100, _AT_LEAST_1),
     },
     "dynamics": {
@@ -173,22 +183,24 @@ def _check_fields(data: Dict[str, Any], fields: Dict[str, _Field], where: str,
                   data[key])
     for key, spec in fields.items():
         path = where + key
-        if key not in data:
-            if spec.default is _REQUIRED:
-                raise ConfigError("config field '%s' is required for kind %r"
-                                  % (path, kind))
-            continue
-        value = data[key]
-        if type(value) is not spec.type:
-            _fail(path, "expected " + _TYPE_NAMES[spec.type], value)
-        if spec.fields is not None:
-            _check_fields(value, spec.fields, path + ".", kind, group)
-        for item in value if spec.entry is not None else ():
-            _check_fields(dict.fromkeys(spec.entry, item), spec.entry, where,
-                          kind)
-        for rule, test in spec.rules:
-            if not test(value, group):
-                _fail(path, rule, value)
+        if key in data:
+            _check_field(data[key], spec, path, kind, group)
+        elif spec.default is _REQUIRED:
+            raise ConfigError("config field '%s' is required for kind %r"
+                              % (path, kind))
+
+
+def _check_field(value: Any, spec: _Field, path: str, kind: str,
+                 group=None) -> None:
+    if type(value) is not spec.type:
+        _fail(path, "expected " + _TYPE_NAMES[spec.type], value)
+    if spec.fields is not None:
+        _check_fields(value, spec.fields, path + ".", kind, group)
+    for i, item in enumerate(value) if spec.entry is not None else ():
+        _check_field(item, spec.entry, "%s[%d]" % (path, i), kind)
+    for rule, test in spec.rules:
+        if not test(value, group):
+            _fail(path, rule, value)
 
 
 def parse_config(data: Any) -> ExperimentConfig:
@@ -581,7 +593,7 @@ def run(cfg: ExperimentConfig) -> Tuple[int, Dict[str, Any]]:
     cfg_doc = emit_config(cfg)
     cfg_doc.pop("out", None)
     body = {"config": cfg_doc, "result": result}
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(body, sort_keys=True).encode()).hexdigest()
     body["meta"] = {
         "determinism_hash": digest,

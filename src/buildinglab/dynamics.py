@@ -32,7 +32,6 @@ raw kernel ``padic._fold``.
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .padic import INF, PadicScalar, PrecisionExhausted, _fold
@@ -134,14 +133,16 @@ def newton_slopes(coeffs: Sequence[PadicScalar]) -> Tuple[int, ...]:
                 break
         hull.append(pt)
 
-    def hull_height(x: int) -> Fraction:
+    def below_hull(x: int, f: int) -> bool:
+        """f < the hull's height at x, cross-multiplied by the width."""
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x1 <= x <= x2:
-                return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
-        return Fraction(hull[-1][1])
+                w = x2 - x1
+                return f * w < y1 * w + (y2 - y1) * (x - x1)
+        return f < hull[-1][1]
 
     for i, f in floors:
-        if Fraction(int(f)) < hull_height(i):
+        if below_hull(i, int(f)):
             raise PrecisionExhausted(
                 "inseparable precision on slopes: coefficient %d unresolved"
                 % i

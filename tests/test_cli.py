@@ -1,11 +1,14 @@
 """Config plumbing, runners, exit codes, and report determinism."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -335,8 +338,47 @@ def test_report_hash_tracks_seed(tmp_path):
 def test_preset_hash_matches_reference(preset):
     code, body = run(parse_config(PRESETS[preset]))
     assert code == 0
-    assert body["meta"]["determinism_hash"].startswith(
-        REFERENCE_HASHES[preset])
+    digest = body["meta"]["determinism_hash"]
+    assert digest.startswith(REFERENCE_HASHES[preset])
+    # the standard SHA-256 of the report's sorted-key JSON, whatever
+    # implementation the program hashed it with
+    assert digest == hashlib.sha256(json.dumps(
+        {"config": body["config"], "result": body["result"]},
+        sort_keys=True).encode()).hexdigest()
+
+
+_SHA256_SOURCE = r"""
+import sys, types
+import {builtin} as real
+source = {source!r}
+order = ["_sha2", "_sha256", "hashlib"]
+for name in order[:order.index(source)]:
+    sys.modules[name] = None  # an interpreter built without it
+if source != "hashlib" and source != real.__name__:  # a distinct callable
+    sys.modules[source] = types.SimpleNamespace(
+        sha256=lambda data: real.sha256(data))
+from buildinglab import cli
+taken = sys.modules[source].sha256
+_, body = cli.run(cli.parse_config(cli.PRESETS["sl2-q3-transit"]))
+print(cli.sha256 is taken, body["meta"]["determinism_hash"])
+"""
+
+
+@pytest.mark.parametrize("source", ["_sha2", "_sha256", "hashlib"])
+def test_each_sha256_source_gives_the_reference_hash(source):
+    # cli takes sha256 from _sha2 (Python 3.12+), else _sha256 (3.10 and
+    # 3.11), else hashlib; a fresh interpreter blocks the modules before
+    # `source` and lends this Python's built-in SHA-256, wrapped, to a
+    # built-in name it lacks, so every branch runs on every Python
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    code = _SHA256_SOURCE.format(builtin=builtin, source=source)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    taken, digest = out.split()
+    assert taken == "True"
+    assert digest.startswith(REFERENCE_HASHES["sl2-q3-transit"])
 
 
 @pytest.mark.parametrize("precision", [4, 6])
@@ -365,24 +407,27 @@ def test_group_is_validated(field, value):
         parse_config(data)
 
 
-@pytest.mark.parametrize("preset,group,argv", [
-    ("sl2-q3-transit", {}, ["--precision", "0"]),
-    ("sl2-q3-transit", {"p": 6}, []),
-    ("sl2-q3-transit", {"n": 5}, []),
-    ("sl2-q3-transit", {"precision": 0}, []),
-    ("decompositions", {"p": 6}, []),
+@pytest.mark.parametrize("preset,group,argv,field", [
+    ("sl2-q3-transit", {}, ["--precision", "0"], "group"),
+    ("sl2-q3-transit", {"p": 6}, [], "group"),
+    ("sl2-q3-transit", {"n": 5}, [], "group"),
+    ("sl2-q3-transit", {"precision": 0}, [], "group"),
+    ("decompositions", {"p": 6}, [], "groups[0]"),
+    ("decompositions", {"precision": 0}, [], "groups[1]"),
 ])
-def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv):
+def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv, field):
     data = dict(PRESETS[preset])
     if "group" in data:
         data["group"] = dict(data["group"], **group)
-    else:
-        data["groups"] = [dict(data["groups"][0], **group)]
+    else:  # only the entry that `field` names is spoilt
+        bad = int(field[len("groups["):-1])
+        data["groups"] = [dict(g, **group) if i == bad else g
+                          for i, g in enumerate(data["groups"])]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     command = SUBCOMMAND_OF_KIND[data["kind"]]
     assert main([command, "--config", str(path)] + argv) == 2
-    assert "config field 'group." in capsys.readouterr().err
+    assert "config field '%s." % field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("precision,code", [(16, 0), (0, 2)])
@@ -396,7 +441,7 @@ def test_decomp_precision_applies_to_every_group(tmp_path, capsys,
         assert [g["precision"] for g in body["config"]["groups"]] == [16, 16]
         assert [g["precision"] for g in body["result"]["groups"]] == [16, 16]
     else:
-        assert "config field 'group.precision'" in capsys.readouterr().err
+        assert "config field 'groups[0].precision'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("precision,code", [(1, 3), (2, 3), (3, 0)])
@@ -641,11 +686,13 @@ def test_main_exit_code_contract_holds_for_any_config(case):
 
 
 def _schema_paths(fields, where=""):
-    """Every field path of a table; list entries are named by their key."""
+    """Every field path of a table; list entries, which are all groups,
+    are named as README's `group` table names them."""
     for key, spec in fields.items():
         yield where + key
         yield from _schema_paths(spec.fields or {}, where + key + ".")
-        yield from _schema_paths(spec.entry or {}, where)
+        yield from _schema_paths({"group": spec.entry} if spec.entry else {},
+                                 where)
 
 
 def test_readme_names_every_config_field():

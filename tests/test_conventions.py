@@ -248,12 +248,17 @@ def test_every_defaulted_parameter_is_passed():
 
 
 def test_cli_imports_no_heavy_stdlib_modules():
-    """Records are NamedTuples and the timestamp comes from time, so the
-    program's start-up compiles and runs none of these modules."""
-    heavy = ("dataclasses", "inspect", "ast", "dis", "datetime")
-    code = ("import sys, buildinglab.cli; "
-            "print(' '.join(m for m in %r if m in sys.modules))" % (heavy,))
+    """Records are NamedTuples, the timestamp comes from time, the report
+    hash from CPython's built-in SHA-256 and Newton polygons are compared
+    in integers, so the program's start-up compiles and runs none of
+    these modules.  The interpreter runs without `site` (-S), so no
+    start-up hook of the host loads or hides one of them."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "datetime", "hashlib",
+             "_hashlib", "fractions", "decimal")
+    code = ("import sys; before = set(sys.modules); import buildinglab.cli; "
+            "print(' '.join(m for m in %r if m in set(sys.modules) - before))"
+            % (heavy,))
     env = dict(os.environ, PYTHONPATH=str(_REPO / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
     assert out.split() == []

@@ -34,7 +34,7 @@ from buildinglab.dynamics import (
     verify_transit,
 )
 from buildinglab.dynamics import _mat_power, _radius
-from buildinglab.padic import INF, PadicScalar
+from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
 
 N = 32
 
@@ -203,6 +203,26 @@ def test_newton_slopes_frozen_table():
     assert newton_slopes(characteristic_polynomial(ctx3.diag((2, 1, -3)))) == (2, 1, -3)
     # unit matrix with unit determinant: every slope is zero
     assert newton_slopes(characteristic_polynomial(ctx2.mat([[2, 1], [1, 1]]))) == (0, 0)
+
+
+@pytest.mark.parametrize("floors,raised", [
+    # the hull from (0, 0) to (4, 2) is 1/2 high at 1 and 1 high at 2;
+    # a floor on it or above it leaves the slopes known (here ramified)
+    ({2: 1}, RamifiedSlopes),
+    ({1: 1}, RamifiedSlopes),
+    ({1: 1, 2: 1, 3: 2}, RamifiedSlopes),
+    # a floor strictly below it leaves them unresolved
+    ({2: 0}, PrecisionExhausted),
+    ({1: 0}, PrecisionExhausted),
+    ({3: 1}, PrecisionExhausted),
+])
+def test_newton_slopes_zeroish_floor_against_fractional_hull(floors, raised):
+    coeffs = [PadicScalar.from_int(1, 3)] + [PadicScalar.zero(3)] * 3 + [
+        PadicScalar.from_int(9, 3)]
+    for i, floor in floors.items():
+        coeffs[i] = PadicScalar.near_zero(3, floor)
+    with pytest.raises(raised):
+        newton_slopes(coeffs)
 
 
 def test_newton_slopes_ramified_and_conjugation_invariant():
