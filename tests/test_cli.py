@@ -407,22 +407,23 @@ def test_group_is_validated(field, value):
         parse_config(data)
 
 
-@pytest.mark.parametrize("preset,group,argv,field", [
-    ("sl2-q3-transit", {}, ["--precision", "0"], "group"),
-    ("sl2-q3-transit", {"p": 6}, [], "group"),
-    ("sl2-q3-transit", {"n": 5}, [], "group"),
-    ("sl2-q3-transit", {"precision": 0}, [], "group"),
-    ("decompositions", {"p": 6}, [], "groups[0]"),
-    ("decompositions", {"precision": 0}, [], "groups[1]"),
+@pytest.mark.parametrize("preset,group,argv", [
+    ("sl2-q3-transit", {}, ["--precision", "0"]),
+    ("sl2-q3-transit", {"p": 6}, []),
+    ("sl2-q3-transit", {"n": 5}, []),
+    ("sl2-q3-transit", {"precision": 0}, []),
+    # one override per entry of `groups`: only the non-empty one is spoilt
+    ("decompositions", [{"p": 6}, {}], []),
+    ("decompositions", [{}, {"precision": 0}], []),
 ])
-def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv, field):
+def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv):
     data = dict(PRESETS[preset])
     if "group" in data:
         data["group"] = dict(data["group"], **group)
-    else:  # only the entry that `field` names is spoilt
-        bad = int(field[len("groups["):-1])
-        data["groups"] = [dict(g, **group) if i == bad else g
-                          for i, g in enumerate(data["groups"])]
+        field = "group"
+    else:
+        data["groups"] = [dict(g, **o) for g, o in zip(data["groups"], group)]
+        field = "groups[%d]" % next(i for i, o in enumerate(group) if o)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     command = SUBCOMMAND_OF_KIND[data["kind"]]
