@@ -45,9 +45,10 @@ difference scalar.
 Structured factors are built directly, entry by entry, as the products
 they stand for would build them: ``diag`` without units and
 ``monomial`` place ``p**e`` at ``N`` equal to the working precision,
-and Cartan's sorting permutation reorders the columns of k1 and the
-rows of k2, each entry multiplied by ``ctx.one`` as the permutation
-product multiplies it.  Iwasawa takes ``t**-1`` from the pivot inverses
+and Cartan's sorting permutation only reorders the columns of k1 and
+the rows of k2: the elimination leaves every entry reduced within the
+working precision, so no entry is multiplied by ``ctx.one`` as the
+permutation product would.  Iwasawa takes ``t**-1`` from the pivot inverses
 its column steps already computed: later steps never touch an earlier
 pivot.
 

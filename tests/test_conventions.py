@@ -7,6 +7,7 @@ side choice that the rest of the suite silently relies on.
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -172,7 +173,7 @@ def test_no_unused_imports():
 # public names that nothing in src/, scripts/ or the acceptance suite reaches
 _UNREACHED = {
     "project_to_residue": "ROADMAP item 2 gives it a caller",
-    "is_regular": "ROADMAP item 6 gives it a caller",
+    "is_regular": "ROADMAP item 5 or 6 gives it a caller",
     "agreement_gate": "CONVENTIONS.md defines the gate by it",
     "from_unit": "tests build scalars with it",
     "abs_precision": "tests read the precision of scalars with it",
@@ -245,6 +246,23 @@ def test_every_defaulted_parameter_is_passed():
         never += ["%s(%s)" % (name, x) for x, pos in defaulted
                   if not any(_passed(c, x, pos) for c in calls.get(name, ()))]
     assert never == []
+
+
+def test_frozen_references_live_in_the_reference_table():
+    """A frozen reference, a function named ``_ref_*``, ``_chained_*`` or
+    ``chained_*``, is defined in tests/reference.py and in no other test
+    module, and each one there is named by its table or imported by a test."""
+    is_reference = re.compile(r"_ref_|_?chained_").match
+    table, tests = _trees("tests/reference.py")[0], _trees("tests/test_*.py")
+    assert [node.name for tree in tests for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and is_reference(node.name)] == []
+    named = {name for node in table.body if isinstance(node, ast.Assign)
+             for name in _names(node)}
+    imported = {name for tree in tests for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "reference"
+                for name in _names(node)}
+    defined = {node.name for node in table.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in defined if is_reference(name)} - named - imported == set()
 
 
 def test_cli_imports_no_heavy_stdlib_modules():

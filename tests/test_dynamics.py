@@ -7,7 +7,6 @@ is checked against them.  Characteristic polynomials are checked
 against an integer cofactor oracle that never touches the p-adic code.
 """
 
-import itertools
 import math
 import random
 
@@ -33,10 +32,15 @@ from buildinglab.dynamics import (
     newton_slopes,
     verify_transit,
 )
-from buildinglab.dynamics import _mat_power, _radius
+from buildinglab.dynamics import _mat_power
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
+from reference import draws, row_tests
 
 N = 32
+
+# Each live kernel against its frozen reference in tests/reference.py: one
+# test per row, named by the row.
+globals().update(row_tests("test_dynamics"))
 
 
 # -- independent oracles -----------------------------------------------------
@@ -120,71 +124,19 @@ def _rotation_certificate(ctx):
 
 
 def test_char_poly_matches_integer_oracle():
-    rng = random.Random(41)
-    for n in (2, 3, 4):
-        ctx = GroupContext(n, 3)
-        for _ in range(12):
-            rows = [
-                [rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)
-            ]
-            got = characteristic_polynomial(ctx.mat(rows))
-            want = oracle_char_poly(rows)
-            assert len(got) == n + 1
-            for c, w in zip(got, want):
-                if c.is_zeroish():
-                    assert w == 0 or oracle_valuation(w, 3) >= c.val_floor()
-                else:
-                    assert c.residue(10) == w % 3 ** 10
-
-
-def _chained_char_poly(g):
-    """Reference det(x - g): products and sums folded by scalar operators."""
-    ctx, n = g.ctx, g.n
-
-    def poly_mul(a, b):
-        out = [ctx.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return out
-
-    acc = [ctx.zero] * (n + 1)
-    for sigma in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if sigma[i] > sigma[j])
-        term = [ctx.one if inv % 2 == 0 else -ctx.one]
-        for i in range(n):
-            e = -g[i, sigma[i]]
-            term = poly_mul(term, [e, ctx.one] if sigma[i] == i else [e])
-        for k, c in enumerate(term):
-            acc[k] = acc[k] + c
-    return tuple(acc)
-
-
-def test_char_poly_matches_chained_scalars():
-    def raw(x):
-        return (x.p, x.v, x.unit, x.N)
-
-    def entry(ctx, rng):
-        kind = rng.random()
-        if kind < 0.2:
-            return ctx.zero
-        if kind < 0.3:
-            return PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12))
-        u = rng.randrange(1, ctx.p**12)
-        return PadicScalar.from_unit(ctx.p, rng.randrange(-4, 6),
-                                     u if u % ctx.p else u + 1,
-                                     rng.randrange(1, N + 1))
-
-    rng = random.Random(42)
-    for n in (2, 3, 4):
-        ctx = GroupContext(n, 3)
-        for _ in range(40):
-            g = ctx.mat([[entry(ctx, rng) for _ in range(n)]
-                         for _ in range(n)])
-            got = characteristic_polynomial(g)
-            assert [raw(c) for c in got] == \
-                [raw(c) for c in _chained_char_poly(g)]
+    for ctx, rng in draws(41, 12):
+        n = ctx.n
+        rows = [
+            [rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)
+        ]
+        got = characteristic_polynomial(ctx.mat(rows))
+        want = oracle_char_poly(rows)
+        assert len(got) == n + 1
+        for c, w in zip(got, want):
+            if c.is_zeroish():
+                assert w == 0 or oracle_valuation(w, 3) >= c.val_floor()
+            else:
+                assert c.residue(10) == w % 3 ** 10
 
 
 def test_char_poly_pinned_rotation():
@@ -397,54 +349,6 @@ def test_agreement_gate_face_monotone():
         for dims in ((1,), (2,), (1, 2)):
             r_f = agreement_gate(base, c1.face(dims), c2.face(dims)).radius
             assert r_f >= r_ch
-
-
-def _ref_radius(a, b):
-    """The gate radius as it was: every difference entry by scalar ops."""
-    diff = [x - y for ra, rb in zip(a.canon.rows, b.canon.rows)
-            for x, y in zip(ra, rb)]
-    if all(x.is_zeroish() for x in diff):
-        return INF
-    return min(x.val_floor() for x in diff)
-
-
-def _perturbed(ctx, s, rng):
-    """A simplex of the type of s whose representative keeps some of the
-    very objects of s's, moves others below a random depth, and replaces
-    the rest by approximate or exact zeros."""
-    p = ctx.p
-    rows = []
-    for row in s.canon.rows:
-        out = []
-        for x in row:
-            t = rng.random()
-            if t < 0.5:
-                out.append(x)
-            elif t < 0.7:
-                out.append(x + PadicScalar(p, rng.randrange(0, 40), 1, N))
-            elif t < 0.85:
-                out.append(PadicScalar.near_zero(p, rng.randrange(-2, 40)))
-            else:
-                out.append(ctx.zero)
-        rows.append(out)
-    return building.IdealSimplex(ctx, s.dims, building.Mat(ctx, rows))
-
-
-def test_radius_matches_difference_matrix():
-    rng = random.Random(49)
-    for n, p in ((2, 3), (3, 3), (3, 5), (4, 2)):
-        ctx = GroupContext(n, p)
-        zeros = building.Mat(ctx, [[PadicScalar.near_zero(p, 5 + i)] * n for i in range(n)])
-        for _ in range(60):
-            c1 = boundary_simplex(ctx.random_element(rng), ctx.full_dims)
-            c2 = boundary_simplex(ctx.random_element(rng), ctx.full_dims)
-            near = _perturbed(ctx, c1, rng)
-            # every difference zeroish, none of them exactly zero
-            flat = building.IdealSimplex(ctx, c1.dims, zeros)
-            pairs = [(c1, c2), (c1, c1), (c1, near), (near, c1), (near, _perturbed(ctx, near, rng)),
-                     (flat, _perturbed(ctx, flat, rng)), (flat, flat)]
-            for a, b in pairs:
-                assert _radius(a, b) == _ref_radius(a, b)
 
 
 def test_neighborhood_image_exact_transport():
