@@ -10,11 +10,11 @@ hash ``-``, as the benchmark counts it.  Two checkouts give the same
 reports at those seeds exactly when their outputs are the same, so a
 seed sweep of a change against its parent is one ``diff``.
 
-The reason, the rest of the line, is deterministic: ``-`` for exit 0;
-the exception message for exit 3; for exit 1 the first failing record,
-``index=I status=S`` for dynamics and ``target=I`` (the first target
-that is not cofinal) for transit, ``status=S recovered=K`` for
-chabauty, and ``failures=N`` for decompositions and the Coxeter oracles.
+The reason, the rest of the line, is the report's ``meta.outcome.reason``,
+the first refutation its runner found, or ``-`` for exit 0; for exit 3
+it is the exception message.  README.md lists the reasons of each kind,
+among them ``decomposition`` for a chabauty run whose only failure is
+its limit table.
 """
 
 import sys
@@ -22,28 +22,6 @@ import sys
 from buildinglab import cli
 from buildinglab.dynamics import RamifiedSlopes
 from buildinglab.padic import PrecisionExhausted
-
-
-def reason(kind, result):
-    """The first failure of a report whose preset exited 1."""
-    if kind == "dynamics":
-        for rec in result["records"]:
-            if rec["hypothesis"] and not (rec["status"] == "converged"
-                                          and rec["monotone"]):
-                return "index=%d status=%s" % (rec["index"], rec["status"])
-    elif kind == "transit":
-        for target in result["targets"]:
-            if not target["cofinal"]:
-                return "target=%d" % target["index"]
-    elif kind == "chabauty":
-        return "status=%s recovered=%d" % (result["status"],
-                                           len(result["recovered"]))
-    else:
-        failures = result["failures"]
-        if isinstance(failures, list):
-            failures = len(failures)
-        return "failures=%d" % failures
-    return "?"
 
 
 def main(argv):
@@ -57,7 +35,7 @@ def main(argv):
             try:
                 code, body = cli.run(cli.parse_config(data))
                 digest = body["meta"]["determinism_hash"][:16]
-                why = reason(data["kind"], body["result"]) if code else "-"
+                why = body["meta"]["outcome"]["reason"] or "-"
             except (PrecisionExhausted, RamifiedSlopes) as exc:
                 code, digest, why = 3, "-", str(exc)
             print(offset, preset, code, digest, why, flush=True)

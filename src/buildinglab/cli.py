@@ -337,6 +337,13 @@ def _context(group: Dict[str, Any]) -> GroupContext:
     return GroupContext(g["n"], g["p"], precision=g["precision"])
 
 
+def _outcome(attempted: int, refuted: int, reason: Optional[str]):
+    """A report's verdict: the records it attempted, how many of them
+    were refuted and, if any was, the first refutation."""
+    return {"attempted": attempted, "refuted": refuted,
+            "reason": reason if refuted else None}
+
+
 def _run_coxeter(cfg: ExperimentConfig, rng: random.Random):
     out: Dict[str, Any] = {"types": {}}
     failures: List[str] = []
@@ -346,7 +353,9 @@ def _run_coxeter(cfg: ExperimentConfig, rng: random.Random):
         out["types"][name] = {"order": system.order(), "checks": checks}
         failures += failed
     out["failures"] = failures
-    return (0 if not failures else 1), out
+    attempted = sum(sum(t["checks"].values()) for t in out["types"].values())
+    return out, _outcome(attempted, len(failures),
+                         "failures=%d" % len(failures))
 
 
 def mild_element(ctx: GroupContext, rng: random.Random) -> Mat:
@@ -406,7 +415,8 @@ def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
             stats[key] = _json_val(stats[key])
         report["groups"].append(stats)
     report["failures"] = failures
-    return (0 if failures == 0 else 1), report
+    return report, _outcome(count * len(report["groups"]), failures,
+                            "failures=%d" % failures)
 
 
 def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
@@ -438,6 +448,7 @@ def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
         "records": [],
     }
     failures = 0
+    first = None
     for i in range(chambers):
         # integral translates reach every boundary chamber (the compact
         # group is transitive) while keeping flag coordinates shallow
@@ -458,11 +469,12 @@ def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
                     mat_agreement(lim.limit.canon, lim.retraction_value.canon))
             if not ok:
                 failures += 1
+                first = first or "index=%d status=%s" % (i, lim.status)
         else:
             row["monotone"] = lim.monotone
         report["records"].append(row)
     report["failures"] = failures
-    return (0 if failures == 0 else 1), report
+    return report, _outcome(chambers, failures, first)
 
 
 def _run_transit(cfg: ExperimentConfig, rng: random.Random):
@@ -495,7 +507,9 @@ def _run_transit(cfg: ExperimentConfig, rng: random.Random):
         ],
         "all_absorbed": rep.all_absorbed,
     }
-    return (0 if rep.all_absorbed else 1), report
+    missed = [t.index for t in rep.targets if not t.cofinal]
+    return report, _outcome(n_targets, len(missed),
+                            "target=%d" % missed[0] if missed else None)
 
 
 def _run_chabauty(cfg: ExperimentConfig, rng: random.Random):
@@ -523,11 +537,10 @@ def _run_chabauty(cfg: ExperimentConfig, rng: random.Random):
             for tr in rep.traces
         ],
     }
-    failures = 0
-    if rep.status != "ok":
-        failures += 1
-    if len(rep.recovered) < 8 or any(e < depth for e in rep.errors):
-        failures += 1
+    reason = None
+    if (rep.status != "ok" or len(rep.recovered) < 8
+            or any(e < depth for e in rep.errors)):
+        reason = "status=%s recovered=%d" % (rep.status, len(rep.recovered))
     verdicts: Dict[str, Any] = {}
     op = ch.check_OP(spec, certs[0].sigma_minus, rng=rng)
     verdicts["open-orbit"] = {"status": op.status, "radius": op.radius,
@@ -544,7 +557,7 @@ def _run_chabauty(cfg: ExperimentConfig, rng: random.Random):
         }
         if (table.residual_min < depth or not all(table.transitivity)
                 or table.normality_min < depth):
-            failures += 1
+            reason = reason or "decomposition"
         verdicts["no-return"] = ch.nrp_verdict(table, depth)
         targets = [ch.line_simplex(ctx, t) for t in rep.parameters[:6]]
         tv = ch.check_transP(spec, certs, targets)
@@ -553,7 +566,7 @@ def _run_chabauty(cfg: ExperimentConfig, rng: random.Random):
             for v in tv
         ]
     report["verdicts"] = verdicts
-    return (0 if failures == 0 else 1), report
+    return report, _outcome(1, int(reason is not None), reason)
 
 
 RUNNERS = {
@@ -587,9 +600,13 @@ def _mat_json(m: Mat) -> List[List[str]]:
 
 
 def run(cfg: ExperimentConfig) -> Tuple[int, Dict[str, Any]]:
-    """Execute one experiment; returns (exit code, full report document)."""
+    """Execute one experiment; returns (exit code, full report document).
+
+    The runner's outcome goes into `meta.outcome`, outside the hash; the
+    exit code is 1 exactly when it refutes a record.
+    """
     rng = random.Random(cfg.seed)
-    code, result = RUNNERS[cfg.kind](cfg, rng)
+    result, outcome = RUNNERS[cfg.kind](cfg, rng)
     cfg_doc = emit_config(cfg)
     cfg_doc.pop("out", None)
     body = {"config": cfg_doc, "result": result}
@@ -597,9 +614,10 @@ def run(cfg: ExperimentConfig) -> Tuple[int, Dict[str, Any]]:
         json.dumps(body, sort_keys=True).encode()).hexdigest()
     body["meta"] = {
         "determinism_hash": digest,
+        "outcome": outcome,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
-    return code, body
+    return (1 if outcome["refuted"] else 0), body
 
 
 def _summary_lines(code: int, body: Dict[str, Any]) -> List[str]:

@@ -340,11 +340,6 @@ class PadicScalar:
 
     # -- comparisons and export -----------------------------------------
 
-    def agreement(self, other: "PadicScalar"):
-        """Valuation floor of the difference: how deeply the two agree."""
-        d = self - other
-        return d.val_floor()
-
     def residue(self, k: int) -> int:
         """Integer congruent to the value modulo p**k (value must be integral)."""
         if self.unit == 0:

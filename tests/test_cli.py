@@ -34,16 +34,24 @@ from buildinglab.building import GroupContext
 N = 32
 
 
-def _reference_hashes():
-    # the benchmark's table is the single source of the reference hashes
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+def _perfbench(name):
+    """A module of perfbench/, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.REFERENCE_HASHES
+    return mod
 
 
-REFERENCE_HASHES = _reference_hashes()
+_SPEC = _perfbench("spec")
+# the benchmark's table is the single source of the reference hashes
+REFERENCE_HASHES = _SPEC.REFERENCE_HASHES
+sys.modules["spec"] = _SPEC  # worker imports spec by name
+try:
+    # the benchmark's count of a report's attempted and failed records
+    TALLY = _perfbench("worker").tally
+finally:
+    del sys.modules["spec"]
 
 SUBCOMMAND_OF_KIND = {kind: cmd for cmd, kind in KIND_OF_SUBCOMMAND.items()}
 
@@ -338,6 +346,7 @@ def test_report_hash_tracks_seed(tmp_path):
 def test_preset_hash_matches_reference(preset):
     code, body = run(parse_config(PRESETS[preset]))
     assert code == 0
+    _assert_outcome_is_tallied(code, body)
     digest = body["meta"]["determinism_hash"]
     assert digest.startswith(REFERENCE_HASHES[preset])
     # the standard SHA-256 of the report's sorted-key JSON, whatever
@@ -345,6 +354,65 @@ def test_preset_hash_matches_reference(preset):
     assert digest == hashlib.sha256(json.dumps(
         {"config": body["config"], "result": body["result"]},
         sort_keys=True).encode()).hexdigest()
+
+
+def _assert_outcome_is_tallied(code, body):
+    """The report's outcome counts records as the benchmark does."""
+    outcome = body["meta"]["outcome"]
+    tally = TALLY(body["config"]["kind"], code, body["result"])
+    assert (outcome["attempted"], outcome["refuted"]) == tally[:2]
+
+
+def test_dynamics_outcome_at_offset_502():
+    # a start chamber in a smaller Schubert cell: the orbit converges, but
+    # record 26 runs out of digits first and reads as a refutation
+    preset = PRESETS["sl3-q3-dynamics"]
+    code, body = run(parse_config(dict(preset, seed=preset["seed"] + 502)))
+    assert code == 1
+    assert body["meta"]["outcome"] == {
+        "attempted": 50, "refuted": 1,
+        "reason": "index=26 status=no-convergence"}
+    _assert_outcome_is_tallied(code, body)
+
+
+def _with(preset, **fields):
+    """A preset with some of its object fields updated."""
+    data = dict(PRESETS[preset])
+    for key, value in fields.items():
+        data[key] = dict(data[key], **value) if type(value) is dict else value
+    return data
+
+
+def _spoil_transitivity(monkeypatch):
+    """Make the chabauty limit table report one orbit as not transitive."""
+    from buildinglab import cli
+
+    real = cli.ch.decompose_limit
+
+    def decompose_limit(limits, cert):
+        table = real(limits, cert)
+        return table._replace(transitivity=(False,) + table.transitivity[1:])
+
+    monkeypatch.setattr(cli.ch, "decompose_limit", decompose_limit)
+
+
+@pytest.mark.parametrize("data,spoil,reason", [
+    # too few steps to absorb any target at a deep radius
+    (_with("sl3-q3-transit", group={"precision": 51}, steps=2, radius=34),
+     None, "target=0"),
+    # too short a sequence to harvest a parameter
+    (_with("so2-sl2-q5", sequence={"count": 3}),
+     None, "status=inconclusive recovered=0"),
+    # a harvest that passes, over a limit table that does not
+    (PRESETS["so2-sl2-q5"], _spoil_transitivity, "decomposition"),
+], ids=["transit", "chabauty", "chabauty-table"])
+def test_runner_names_its_first_refutation(monkeypatch, data, spoil, reason):
+    if spoil is not None:
+        spoil(monkeypatch)
+    code, body = run(parse_config(data))
+    assert code == 1
+    assert body["meta"]["outcome"]["reason"] == reason
+    _assert_outcome_is_tallied(code, body)
 
 
 _SHA256_SOURCE = r"""

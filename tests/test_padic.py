@@ -169,13 +169,6 @@ def test_to_literal_strings():
     assert PadicScalar.near_zero(P, 4).to_literal() == "O(3^4)"
 
 
-def test_agreement_depth():
-    a = PadicScalar.from_int(1, P, N)
-    b = PadicScalar.from_int(1 + 3**9, P, N)
-    assert a.agreement(b) == 9
-    assert a.agreement(a) == N
-
-
 small_ints = st.integers(min_value=-(3**9), max_value=3**9)
 
 

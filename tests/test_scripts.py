@@ -88,11 +88,8 @@ def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
     from buildinglab.padic import PrecisionExhausted
 
     seeds = []
-    results = {
-        "coxeter-oracle": {"failures": ["A2: braid", "A2: length"]},
-        "decompositions": {"failures": 2},
-        "chabauty": {"status": "ok", "recovered": [1, 2]},
-    }
+    reasons = {"coxeter-oracle": "failures=2", "decompositions": "failures=2",
+               "chabauty": "decomposition"}
 
     def run(cfg):
         seeds.append(cfg.seed)
@@ -100,8 +97,9 @@ def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
             raise PrecisionExhausted("flag degenerate within working precision")
         if cfg.kind == "transit":
             raise RamifiedSlopes("slopes are not integers")
-        return 1, {"meta": {"determinism_hash": "0123456789abcdef" * 4},
-                   "result": results[cfg.kind]}
+        outcome = {"attempted": 9, "refuted": 2, "reason": reasons[cfg.kind]}
+        return 1, {"meta": {"determinism_hash": "0123456789abcdef" * 4,
+                            "outcome": outcome}}
 
     monkeypatch.setattr(cli, "run", run)
     assert _preset_hashes()["main"](["5"]) == 0
@@ -111,20 +109,6 @@ def test_preset_hashes_counts_precision_failures_as_exit_3(monkeypatch, capsys):
            "transit": "3 - slopes are not integers",
            "coxeter-oracle": "1 0123456789abcdef failures=2",
            "decompositions": "1 0123456789abcdef failures=2",
-           "chabauty": "1 0123456789abcdef status=ok recovered=2"}
+           "chabauty": "1 0123456789abcdef decomposition"}
     want = ["5 %s %s" % (name, why[cli.PRESETS[name]["kind"]]) for name in names]
     assert capsys.readouterr().out.splitlines() == want
-
-
-def test_preset_hashes_reason_names_the_first_failing_record():
-    reason = _preset_hashes()["reason"]
-    records = [
-        {"index": 0, "hypothesis": False, "status": "stalled", "monotone": False},
-        {"index": 1, "hypothesis": True, "status": "converged", "monotone": True},
-        {"index": 2, "hypothesis": True, "status": "converged", "monotone": False},
-        {"index": 3, "hypothesis": True, "status": "stalled", "monotone": True},
-    ]
-    assert reason("dynamics", {"records": records}) == "index=2 status=converged"
-    assert reason("dynamics", {"records": records[3:]}) == "index=3 status=stalled"
-    targets = [{"index": i, "cofinal": i != 4 and i != 6} for i in range(8)]
-    assert reason("transit", {"targets": targets}) == "target=4"
