@@ -83,9 +83,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from . import coxeter
+from . import _Record, coxeter
 from .coxeter import (
     CoxeterSystem,
     WeylElement,
@@ -977,7 +977,7 @@ def iwasawa_decomposition(g: Mat, lower: bool = True) -> Tuple[Mat, Mat, Mat]:
     return u, t, Mat(ctx, k)
 
 
-class AffineWeylCoset(NamedTuple):
+class AffineWeylCoset(_Record):
     """Label of an Iwahori double coset: monomial permutation and exponents.
 
     The monomial representative sends e_j to p^{exps[j]} e_{perm[j]}.

@@ -12,9 +12,12 @@ All verdicts here are one-sided: a failed search is reported as
 inconclusive, never as evidence of triviality.
 """
 
-import random
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from __future__ import annotations
 
+import random
+from typing import Callable, List, Optional, Sequence, Tuple
+
+from . import _Record
 from .padic import INF, NoSquareRoot, PadicScalar
 from .building import (
     GroupContext,
@@ -32,7 +35,7 @@ from .dynamics import HyperbolicCertificate, _validate_family
 # subgroup specifications
 
 
-class SubgroupSpec(NamedTuple):
+class SubgroupSpec(_Record):
     """The rotation subgroup of SL2, given by its membership test.
 
     Its elements are the fixed points of the transpose-inverse
@@ -81,7 +84,7 @@ def rotation_toward(ctx: GroupContext, x: PadicScalar) -> Mat:
 # conjugation traces
 
 
-class TraceResult(NamedTuple):
+class TraceResult(_Record):
     """One conjugation trace g_n = a_n h_n a_n^{-1} and its Cauchy data.
 
     agreements[k] is the valuation depth at which g_k and g_{k+1} agree;
@@ -136,7 +139,7 @@ def conjugate_trace(spec: SubgroupSpec,
 # aimed limit search
 
 
-class ChabautyReport(NamedTuple):
+class ChabautyReport(_Record):
     """Outcome of an aimed limit search along one conjugating family."""
 
     subgroup: str
@@ -252,7 +255,7 @@ def _closure_samples(spec, certs, params, limits, tail):
 # orbit openness
 
 
-class OPVerdict(NamedTuple):
+class OPVerdict(_Record):
     """One-sided check that the H-orbit of a boundary simplex is open.
 
     status "true-with-radius" means every sampled simplex within the
@@ -343,14 +346,14 @@ def _orbit_witness(spec: SubgroupSpec, sigma: IdealSimplex,
 # structure of the harvested limit set
 
 
-class DecompositionRow(NamedTuple):
+class DecompositionRow(_Record):
     index: int
     unipotent: Mat
     levi: Mat
     residual: float
 
 
-class DecompositionTable(NamedTuple):
+class DecompositionTable(_Record):
     """Measured, not assumed, structure of a harvested limit set.
 
     Each limit element is factored as unipotent * levi relative to the
@@ -476,7 +479,7 @@ def nrp_verdict(table: DecompositionTable, depth: int) -> str:
 # transported stabilizer witnesses
 
 
-class TransPVerdict(NamedTuple):
+class TransPVerdict(_Record):
     """Witness search for one target opposite the attracting simplex.
 
     status "witness-found" records the first family index whose

@@ -9,14 +9,16 @@ Exit codes: 0 all checks passed, 1 an experiment invariant failed,
 2 usage or config error, 3 working precision was exhausted.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import os
 import random
 import sys
 import time
-from typing import (Any, Callable, Dict, List, NamedTuple, NoReturn, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, NoReturn, Optional, Sequence,
+                    Tuple)
 
 # hashlib maps OpenSSL's libcrypto, about 3.5 MB of memory, to hash a few
 # KB per report; CPython's built-in SHA-256 gives the same FIPS 180-4
@@ -30,7 +32,7 @@ except ImportError:
         from hashlib import sha256  # builds without the built-in hashes
 
 from .padic import INF, PrecisionExhausted
-from . import coxeter, oracles
+from . import _Record, coxeter, oracles
 from .building import (
     AffineWeylCoset,
     GroupContext,
@@ -60,7 +62,7 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-class _Field(NamedTuple):
+class _Field(_Record):
     """A config field: a value of exactly `type` (a bool is no integer) that
     passes each (expectation, test(value, group)) rule.  A callable default
     is a function of the group.  `fields` is an object's own table; each
@@ -95,10 +97,10 @@ _ROOT = {"kind": _Field(str), "seed": _Field(int, 0), "out": _Field(str, None)}
 _SCHEMA: Dict[str, Dict[str, _Field]] = {
     "coxeter-oracle": {
         "types": _Field(list, ["A2", "B2"], ((
-            "expected a non-empty list of names from "
+            "expected a non-empty list of distinct names from "
             + ", ".join(coxeter.CARTAN),
             lambda v, g: v and all(type(x) is str and x in coxeter.CARTAN
-                                   for x in v)),)),
+                                   for x in v) and len(set(v)) == len(v)),)),
     },
     "decompositions": {
         "groups": _Field(list, rules=(("expected a non-empty list",
@@ -157,7 +159,7 @@ _SCHEMA: Dict[str, Dict[str, _Field]] = {
 KINDS = tuple(_SCHEMA)
 
 
-class ExperimentConfig(NamedTuple):
+class ExperimentConfig(_Record):
     kind: str
     group: Optional[Dict[str, int]]
     seed: int

@@ -29,13 +29,15 @@ block-splitting test and the stable refinement.  Sums of products
 raw kernel ``padic._fold``.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 import random
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .padic import INF, PadicScalar, PrecisionExhausted, _fold
-from . import coxeter
+from . import _Record, coxeter
 from .building import (
     IdealSimplex,
     Mat,
@@ -163,7 +165,7 @@ def newton_slopes(coeffs: Sequence[PadicScalar]) -> Tuple[int, ...]:
 # -- hyperbolicity certificates ---------------------------------------------
 
 
-class HyperbolicCertificate(NamedTuple):
+class HyperbolicCertificate(_Record):
     """Witness data for a translation-like element.
 
     exps lists the eigenvalue valuations in descending order, so it is
@@ -320,7 +322,7 @@ def classify(
 # -- agreement gates ---------------------------------------------------------
 
 
-class GateMeasure(NamedTuple):
+class GateMeasure(_Record):
     """A vertex of the standard apartment and an agreement depth.
 
     Describes the neighborhood of all boundary simplices whose
@@ -494,7 +496,7 @@ def _stable_refinement(
 # -- the projection hypothesis ------------------------------------------------
 
 
-class AssumptionReport(NamedTuple):
+class AssumptionReport(_Record):
     """Outcome of the residue-projection test at the repelling simplex.
 
     core is the face of the gate chamber whose star is the full
@@ -545,7 +547,7 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
 # -- iterated boundary dynamics ----------------------------------------------
 
 
-class LimitReport(NamedTuple):
+class LimitReport(_Record):
     status: str
     limit: Optional[IdealSimplex]
     retraction_value: Optional[IdealSimplex]
@@ -665,13 +667,13 @@ def limit_boundary(
 # -- absorption along translation families ------------------------------------
 
 
-class TransitTarget(NamedTuple):
+class TransitTarget(_Record):
     index: int
     first_n: Optional[int]
     cofinal: bool
 
 
-class TransitReport(NamedTuple):
+class TransitReport(_Record):
     targets: List[TransitTarget]
     all_absorbed: bool
 

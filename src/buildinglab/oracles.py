@@ -17,6 +17,8 @@ reports how many elements tie for the least length instead of asserting
 uniqueness, so a wrong library answer is a recorded failure.
 """
 
+from __future__ import annotations
+
 from collections import deque
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple

@@ -15,9 +15,13 @@ it.  The two behave differently under inversion -- the exact zero raises
 :class:`PrecisionExhausted` -- and convergence detection relies on never
 confusing "cancelled beyond the tracked window" with "provably zero".
 
-Square roots use a residue search modulo p followed by Hensel lifting and
-are only defined for odd p, even valuation and a quadratic-residue unit.
-Of the two roots, the one whose residue modulo p is smaller is returned.
+Square roots are only defined for odd p, even valuation and a
+quadratic-residue unit.  A root modulo p comes from Tonelli-Shanks, which
+writes p - 1 = 2**e * q with q odd and corrects the guess a**((q+1)/2)
+by powers of a non-residue until the error a**q is 1: O(log(p)**2)
+products, for every odd p.  Of the two roots, the one whose residue
+modulo p is smaller is taken, and Newton steps lift it to the unit's
+precision.
 
 Sums of products go through one raw kernel, ``_fold``: it computes
 ``x + sum(a*b) - sum(c*d)`` in a single pass over the raw ``(v, unit, N)``
@@ -126,14 +130,29 @@ def int_valuation(x: int, p: int) -> int:
 
 
 def _sqrt_mod_p(a: int, p: int) -> int:
-    # Residue search; fine for the small primes this laboratory targets.
-    if p > 20011:
-        raise NoSquareRoot(f"square roots not supported for p={p}")
+    """A root of a modulo the odd prime p, by Tonelli-Shanks (Cohen, GTM
+    138, Alg. 1.5.1): O(log(p)**2) products, for every p."""
     a %= p
-    for r in range(1, p):
-        if (r * r) % p == a:
-            return r
-    raise NoSquareRoot(f"{a} is not a quadratic residue mod {p}")
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise NoSquareRoot(f"{a} is not a quadratic residue mod {p}")
+    q, e = p - 1, 0  # p - 1 = 2**e * q with q odd
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:  # the least non-residue
+        n += 1
+    # invariants: a*b == x**2, y has order 2**r and b order dividing 2**(r-1)
+    y, r = pow(n, q, p), e
+    x = pow(a, (q + 1) // 2, p)
+    b = pow(a, q, p)
+    while b != 1:
+        m, b2 = 1, b * b % p
+        while b2 != 1:  # until 2**m is the order of b
+            m, b2 = m + 1, b2 * b2 % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
 
 
 class PadicScalar:

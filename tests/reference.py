@@ -38,7 +38,14 @@ from buildinglab.building import (
     _swap_rows,
 )
 from buildinglab.dynamics import _radius, characteristic_polynomial
-from buildinglab.padic import INF, PadicScalar, PrecisionExhausted, _fold
+from buildinglab.padic import (
+    INF,
+    NoSquareRoot,
+    PadicScalar,
+    PrecisionExhausted,
+    _fold,
+    _sqrt_mod_p,
+)
 
 N = 32
 ALL_CTX = [GroupContext(2, 3, N), GroupContext(3, 3, N), GroupContext(4, 3, N)]
@@ -61,10 +68,11 @@ def raw(x):
 
 def observe(fn, *args):
     """What ``fn(*args)`` shows: the raw fields of its result, or the type
-    and message of the PrecisionExhausted or ValueError it raises."""
+    and message of the PrecisionExhausted, NoSquareRoot or ValueError it
+    raises."""
     try:
         return raw(fn(*args))
-    except (PrecisionExhausted, ValueError) as exc:
+    except (PrecisionExhausted, NoSquareRoot, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -538,6 +546,19 @@ def _ref_radius(a, b):
     return floor if live else INF
 
 
+def _ref_sqrt_mod_p(a: int, p: int) -> int:
+    """The root modulo p as it was: the least, found by search, for p up
+    to 20011 only."""
+    # Residue search; fine for the small primes this laboratory targets.
+    if p > 20011:
+        raise NoSquareRoot(f"square roots not supported for p={p}")
+    a %= p
+    for r in range(1, p):
+        if (r * r) % p == a:
+            return r
+    raise NoSquareRoot(f"{a} is not a quadratic residue mod {p}")
+
+
 def _chained_char_poly(g):
     """Reference det(x - g): products and sums folded by scalar operators."""
     ctx, n = g.ctx, g.n
@@ -794,6 +815,18 @@ def _radius_pairs(ctx, rng):
             (flat, _perturbed(ctx, flat, rng)), (flat, flat)]
 
 
+def _least_sqrt_mod_p(a, p):
+    """The root modulo p that PadicScalar.sqrt takes: the least of the two."""
+    r = _sqrt_mod_p(a, p)
+    return min(r, p - r)
+
+
+def _residues_of_odd_primes():
+    """Every residue of every odd prime below 600."""
+    primes = [p for p in range(3, 600, 2) if all(p % d for d in range(3, p, 2))]
+    return ((a, p) for p in primes for a in range(p))
+
+
 def _in_turn(*samplers):
     """The samplers in turn on one seed's stream: each draw's raw fields and
     the state after it, in a namespace that raw does not walk again."""
@@ -862,6 +895,10 @@ ROWS = {
             _each(_ref_cartan, _ref_iwasawa, lambda g: _ref_iwasawa(g, lower=False)),
             _grid(12, 25, lambda ctx, rng: [(g,) for g in decomposition_inputs(ctx, rng)],
                   DECOMP_CTX)),
+    ),
+    "test_padic": (
+        Row("test_sqrt_mod_p_matches_residue_search", _least_sqrt_mod_p, _ref_sqrt_mod_p,
+            _residues_of_odd_primes),
     ),
     "test_dynamics": (
         Row("test_char_poly_matches_chained_scalars", characteristic_polynomial,

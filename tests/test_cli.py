@@ -612,12 +612,22 @@ SO2 = "so2-sl2-q5"
     *[("element.matrix", _preset_with(DYN, element={"matrix": m}))
       for m in ([[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 1]],
                 [[1, 2], [2, 4]])],
+    # a repeated type would run its oracles twice for one report entry
+    ("types", {"kind": "coxeter-oracle", "types": ["A3", "A3"]}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, path, data):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main([SUBCOMMAND_OF_KIND[data["kind"]], "--config", str(cfg)]) == 2
     assert "config field '%s'" % path in capsys.readouterr().err
+
+
+def test_chabauty_takes_square_roots_beyond_p_20011(tmp_path, capsys):
+    # the schema accepts any prime below 2**32, and rotations need roots mod p
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_preset_with(SO2, **{"group.p": 20021})))
+    assert main(["chabauty", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("changes,argv,code", [

@@ -10,8 +10,12 @@ import random
 import re
 import subprocess
 import sys
+import types
+import typing
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from buildinglab.building import (
     GroupContext,
@@ -23,6 +27,7 @@ from buildinglab.building import (
     type_of_dims,
 )
 from buildinglab.dynamics import agreement_gate, classify
+from buildinglab import building, cli, dynamics
 from buildinglab import chabauty as ch
 
 N = 32
@@ -276,11 +281,11 @@ def test_frozen_references_live_in_the_reference_table():
 
 
 def test_cli_imports_no_heavy_stdlib_modules():
-    """Records are NamedTuples, the timestamp comes from time, the report
-    hash from CPython's built-in SHA-256 and Newton polygons are compared
-    in integers, so the program's start-up compiles and runs none of
-    these modules.  The interpreter runs without `site` (-S), so no
-    start-up hook of the host loads or hides one of them."""
+    """Records derive from the package's slotted base, the timestamp comes
+    from time, the report hash from CPython's built-in SHA-256 and Newton
+    polygons are compared in integers, so the program's start-up compiles
+    and runs none of these modules.  The interpreter runs without `site`
+    (-S), so no start-up hook of the host loads or hides one of them."""
     heavy = ("dataclasses", "inspect", "ast", "dis", "datetime", "hashlib",
              "_hashlib", "fractions", "decimal")
     code = ("import sys; before = set(sys.modules); import buildinglab.cli; "
@@ -290,3 +295,67 @@ def test_cli_imports_no_heavy_stdlib_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+# -- records -------------------------------------------------------------------
+
+_RECORDS = [obj for mod in (building, dynamics, ch, cli) for obj in vars(mod).values()
+            if isinstance(obj, type) and obj.__module__ == mod.__name__
+            and hasattr(obj, "_field_defaults")]
+
+
+def _twin(record):
+    """A typing.NamedTuple with the record's name, fields and defaults."""
+    def body(ns):
+        ns["__module__"] = __name__
+        ns["__annotations__"] = dict.fromkeys(record._fields, typing.Any)
+        ns.update(record._field_defaults)
+    return types.new_class(record.__name__, (typing.NamedTuple,), exec_body=body)
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda r: r.__name__)
+def test_record_behaves_as_its_named_tuple_twin(record):
+    twin = _twin(record)
+    fields = record._fields
+    ones = [("one", i) for i in range(len(fields))]
+    twos = [("two", i) for i in range(len(fields))]
+    required = len(fields) - len(record._field_defaults)
+    for args, kwargs in ((ones, {}), ((), dict(zip(fields, ones))),
+                         (ones[:required], {}), (ones[:1], dict(zip(fields[1:], twos[1:])))):
+        rec = record(*args, **kwargs)
+        assert type(rec) is record
+        assert repr(rec) == repr(twin(*args, **kwargs))
+    a, b, c = record(*ones), record(*ones), record(*twos)
+    assert (a == b, a == c, a != b, a != c) == (True, False, False, True)
+    for name, value in zip(fields, twos):
+        changed = a._replace(**{name: value})
+        assert type(changed) is record
+        assert repr(changed) == repr(twin(*ones)._replace(**{name: value}))
+        assert changed == record(*(value if f == name else v for f, v in zip(fields, ones)))
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    with pytest.raises(AttributeError):
+        a.unknown = 1
+    assert a == b and repr(a) == repr(twin(*ones))
+
+
+def test_no_record_or_annotation_costs_start_up():
+    """No class of the package derives from NamedTuple, which builds a
+    tuple class and compiles a constructor per record, and every module
+    but __init__.py defers its annotations (PEP 563) in its first
+    statement after the docstring, so no annotation is evaluated at
+    import.  The records found here are the ones the twin test checks."""
+    bases, eager = [], []
+    for path in sorted(_REPO.glob("src/buildinglab/*.py")):
+        tree = ast.parse(path.read_text())
+        bases += [(node.name, {name for base in node.bases for name in _names(base)})
+                  for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        first = tree.body[ast.get_docstring(tree) is not None]
+        if path.name != "__init__.py" and not (
+                isinstance(first, ast.ImportFrom) and first.module == "__future__"
+                and [a.name for a in first.names] == ["annotations"]):
+            eager.append(path.name)
+    assert [name for name, of in bases if "NamedTuple" in of] == []
+    assert eager == []
+    records = [name for name, of in bases if "_Record" in of]
+    assert sorted(records) == sorted(r.__name__ for r in _RECORDS) and len(records) == 16

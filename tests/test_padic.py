@@ -23,10 +23,13 @@ from buildinglab.padic import (
     _inv_unit,
     int_valuation,
 )
-from reference import chained_fold, observe, raw
+from reference import chained_fold, observe, raw, row_tests
 
 P = 3
 N = 16
+
+# Square roots modulo p against the frozen residue search in tests/reference.py.
+globals().update(row_tests("test_padic"))
 
 
 def oracle_agrees(x: PadicScalar, exact: int, K: int) -> bool:

@@ -21,8 +21,6 @@ def _run(script, args):
 
 @pytest.mark.parametrize("script,args", [
     ("run_presets.py", ["{tmp}"]),
-    ("witness_budget_scan.py", ["--max-steps", "6", "--depths", "1", "2"]),
-    ("contraction_trace.py", ["7", "4"]),
 ])
 def test_script_runs(script, args, tmp_path):
     done = _run(script, [a.format(tmp=tmp_path) for a in args])
