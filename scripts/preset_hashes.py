@@ -1,6 +1,6 @@
 """Print each preset's exit code, determinism hash and failure reason.
 
-Usage: python scripts/preset_hashes.py OFFSET...
+Usage: python scripts/preset_hashes.py [--out DIR] OFFSET...
 
 Prints one line ``offset preset exit hash16 reason`` per offset and
 preset, the presets in name order.  The offset is added to the preset's
@@ -15,8 +15,13 @@ the first refutation its runner found, or ``-`` for exit 0; for exit 3
 it is the exception message.  README.md lists the reasons of each kind,
 among them ``decomposition`` for a chabauty run whose only failure is
 its limit table.
+
+With ``--out DIR`` each run that ends in a report also writes the files
+that the command line's ``--out`` writes, into ``DIR/OFFSET/PRESET``.
 """
 
+import argparse
+import os
 import sys
 
 from buildinglab import cli
@@ -25,20 +30,26 @@ from buildinglab.padic import PrecisionExhausted
 
 
 def main(argv):
-    if not argv:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    for offset in map(int, argv):
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--out", metavar="DIR", help="write each report under DIR/OFFSET/PRESET")
+    parser.add_argument("offsets", metavar="OFFSET", type=int, nargs="+")
+    args = parser.parse_args(argv)
+    for offset in args.offsets:
         for preset in sorted(cli.PRESETS):
             data = dict(cli.PRESETS[preset])
             data["seed"] += offset
             try:
                 code, body = cli.run(cli.parse_config(data))
-                digest = body["meta"]["determinism_hash"][:16]
-                why = body["meta"]["outcome"]["reason"] or "-"
             except (PrecisionExhausted, RamifiedSlopes) as exc:
-                code, digest, why = 3, "-", str(exc)
-            print(offset, preset, code, digest, why, flush=True)
+                print(offset, preset, 3, "-", exc, flush=True)
+                continue
+            if args.out:
+                dest = os.path.join(args.out, str(offset), preset)
+                os.makedirs(dest, exist_ok=True)
+                cli._write_out(dest, code, body)
+            meta = body["meta"]
+            print(offset, preset, code, meta["determinism_hash"][:16],
+                  meta["outcome"]["reason"] or "-", flush=True)
     return 0
 
 

@@ -10,6 +10,16 @@ sets and gallery distances are then table lookups, built from the
 matrices of the generator products the enumeration makes, so two
 elements are equal exactly when their matrices agree.
 
+The tables are kept on element indices as well: ``_mul[a][b]`` is the
+index of a * b, ``_inv[a]`` that of a^-1, ``_right[w][i]`` that of
+w * s_i and ``_left[w][i]`` that of s_i * w.  The coset minimisations
+run on them: ``min_coset_rep`` and ``min_coset_rep_left`` are each one
+loop that strips the least descent in the subset through ``_right`` or
+``_left`` and the descent tables, and ``parabolic_intersection`` tests
+w^-1 s_i w against the simple reflections through ``_mul``.  Only the
+answer is made a ``WeylElement``.  ``min_double_coset_rep`` stays the
+fixed point of the two public one-sided methods.
+
 Generators are 0-indexed throughout.  For the linear types A_r this means
 s_i corresponds to the adjacent transposition of positions i and i+1.
 
@@ -101,9 +111,6 @@ class WeylElement:
 
     def left_descents(self) -> FrozenSet[int]:
         return self.system._left_descents[self.index]
-
-    def right_descents(self) -> FrozenSet[int]:
-        return self.system._right_descents[self.index]
 
     def is_identity(self) -> bool:
         return not self.word
@@ -202,6 +209,10 @@ class CoxeterSystem:
         els = [WeylElement(self, k, mats[k], mats[inverses[k]], words[k]) for k in range(n)]
         self._elements = els
         self._right = right
+        # _left[w][i] is the index of s_i * w
+        self._left = [[products[s][w] for s in right[0]] for w in range(n)]
+        self._mul = products  # _mul[a][b] is the index of a * b
+        self._inv = inverses
         self._products = [[els[k] for k in row] for row in products]
         self._inverses = [els[k] for k in inverses]
         self._right_descents = right_descents
@@ -269,19 +280,24 @@ class CoxeterSystem:
     def min_coset_rep(self, w: WeylElement, J: Iterable[int]) -> WeylElement:
         """Minimal-length representative of the right coset w * W_J."""
         J = frozenset(J)
-        strip = J & w.right_descents()
+        right, descents = self._right, self._right_descents
+        k = w.index
+        strip = J & descents[k]
         while strip:
-            w = w * self.simple(min(strip))
-            strip = J & w.right_descents()
-        return w
+            k = right[k][min(strip)]
+            strip = J & descents[k]
+        return self._elements[k]
 
     def min_coset_rep_left(self, I: Iterable[int], w: WeylElement) -> WeylElement:
+        """Minimal-length representative of the left coset W_I * w."""
         I = frozenset(I)
-        strip = I & w.left_descents()
+        left, descents = self._left, self._left_descents
+        k = w.index
+        strip = I & descents[k]
         while strip:
-            w = self.simple(min(strip)) * w
-            strip = I & w.left_descents()
-        return w
+            k = left[k][min(strip)]
+            strip = I & descents[k]
+        return self._elements[k]
 
     def min_double_coset_rep(
         self, I: Iterable[int], w: WeylElement, J: Iterable[int]
@@ -300,13 +316,10 @@ class CoxeterSystem:
         Valid when w is the minimal representative of its (I, J) double
         coset; callers reduce first.
         """
-        J = frozenset(J)
-        out = set()
-        for i in frozenset(I):
-            conj = w.inverse() * self.simple(i) * w
-            if any(conj == self.simple(j) for j in J):
-                out.add(i)
-        return frozenset(out)
+        mul, s, k = self._mul, self._right[0], w.index
+        inv = self._inv[k]
+        simples = {s[j] for j in J}
+        return frozenset(i for i in frozenset(I) if mul[mul[inv][s[i]]][k] in simples)
 
     # -- chamber geometry of the Coxeter complex -----------------------------
 

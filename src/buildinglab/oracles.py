@@ -15,6 +15,14 @@ per element.  Sharing relies only on the cosets partitioning the group,
 which holds because the product table is a group table.  The oracle
 reports how many elements tie for the least length instead of asserting
 uniqueness, so a wrong library answer is a recorded failure.
+
+The enumerations run on element indices of the group table: the
+products u w v in ``coset_minima`` and the conjugates rep^-1 s_i rep in
+``residue_type_by_conjugation`` are lookups in ``_mul``.  They are still
+exhaustive; only their answers are made ``WeylElement``s.
+``check_system`` computes the separating walls from each chamber c to
+every chamber once, and reads both the walls between c and d and the
+hull-by-walls predicate at every d from that row.
 """
 
 from __future__ import annotations
@@ -32,11 +40,9 @@ def subsets(rank: int) -> List[FrozenSet[int]]:
             for mask in range(1 << rank)]
 
 
-def _least(elements: Sequence[WeylElement]) -> Tuple[WeylElement, int]:
-    """The first element of least length, and how many share that length."""
-    lengths = [x.length for x in elements]
-    least = min(lengths)
-    return elements[lengths.index(least)], lengths.count(least)
+def _indices(system: CoxeterSystem, J: FrozenSet[int]) -> List[int]:
+    """The indices of W_J, in ShortLex order."""
+    return [u.index for u in system.parabolic(J)]
 
 
 def coset_minima(system: CoxeterSystem, I: FrozenSet[int], J: FrozenSet[int]
@@ -46,30 +52,44 @@ def coset_minima(system: CoxeterSystem, I: FrozenSet[int], J: FrozenSet[int]
 
     Each double coset is enumerated once, over all products u w v, from
     its first element in ShortLex order; its members share the result.
+    The least element is the one of least index, as indices follow
+    ShortLex order.
     """
-    W_I, W_J = system.parabolic(I), system.parabolic(J)
-    out: Dict[WeylElement, Tuple[WeylElement, int]] = {}
-    for w in system.elements():
-        if w not in out:
-            coset = list({u * w * v for u in W_I for v in W_J})
-            out.update(dict.fromkeys(coset, _least(coset)))
-    return out
+    mul, lengths = system._mul, system._distances[0]  # l(x) = d(e, x)
+    W_I, W_J = _indices(system, I), _indices(system, J)
+    minima: List = [None] * system.order()
+    for w in range(len(minima)):
+        if minima[w] is None:
+            coset = {mul[uw][v] for uw in {mul[u][w] for u in W_I} for v in W_J}
+            least = min(coset)
+            ties = sum(lengths[x] == lengths[least] for x in coset)
+            found = (system.elements()[least], ties)
+            for x in coset:
+                minima[x] = found
+    return dict(zip(system.elements(), minima))
 
 
 def residue_type_by_conjugation(system: CoxeterSystem, I: FrozenSet[int],
-                                rep: WeylElement,
-                                W_J: Set[WeylElement]) -> FrozenSet[int]:
-    """The generators i in I with rep^-1 s_i rep in W_J."""
-    inv = rep.inverse()
-    return frozenset(i for i in I if inv * system.simple(i) * rep in W_J)
+                                rep: WeylElement, W_J: Set[int]) -> FrozenSet[int]:
+    """The generators i in I with rep^-1 s_i rep in W_J, given as the set
+    of its element indices."""
+    mul, s, k = system._mul, system._right[0], rep.index
+    inv = system._inv[k]
+    return frozenset(i for i in I if mul[mul[inv][s[i]]][k] in W_J)
+
+
+def _within(elements: Sequence[WeylElement], walls_from_c: Sequence[FrozenSet],
+            walls: FrozenSet) -> FrozenSet[WeylElement]:
+    """The chambers x whose walls from c, ``walls_from_c[x.index]``, all lie
+    in ``walls``."""
+    return frozenset(x for x, seen in zip(elements, walls_from_c) if seen <= walls)
 
 
 def hull_by_walls(system: CoxeterSystem, c: WeylElement,
                   d: WeylElement) -> FrozenSet[WeylElement]:
     """Chambers x whose separating walls from c all separate c from d."""
-    walls = system.separating_walls(c, d)
-    return frozenset(x for x in system.elements()
-                     if system.separating_walls(c, x) <= walls)
+    row = [system.separating_walls(c, x) for x in system.elements()]
+    return _within(system.elements(), row, row[d.index])
 
 
 def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
@@ -84,7 +104,7 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
     name = system.name
     elements = system.elements()
     subs = subsets(system.rank)
-    par_sets = {I: set(system.parabolic(I)) for I in subs}
+    par_sets = {I: set(_indices(system, I)) for I in subs}
     double = {(I, J): coset_minima(system, I, J) for I in subs for J in subs}
     left = {I: double[I, frozenset()] for I in subs}  # the cosets W_I x
     checks = {"double-coset": 0, "residue-type": 0, "projection": 0,
@@ -94,7 +114,8 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
         for I in subs:
             for J in subs:
                 rep = system.min_double_coset_rep(I, w, J)
-                if double[I, J][w] != (rep, 1):
+                least, ties = double[I, J][w]
+                if least != rep or ties != 1:
                     failures.append("%s double-coset %r %s %r"
                                     % (name, sorted(I), w.word, sorted(J)))
                 checks["double-coset"] += 1
@@ -104,18 +125,20 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
                                     % (name, sorted(I), w.word, sorted(J)))
                 checks["residue-type"] += 1
     for c in elements:
+        row = [system.separating_walls(c, x) for x in elements]
         for d in elements:
             x = c.inverse() * d
-            walls = system.separating_walls(c, d)
+            walls = row[d.index]
             if len(walls) != x.length or walls != system.separating_walls(d, c):
                 failures.append("%s separating %s %s" % (name, c, d))
             checks["separating-walls"] += 1
-            if system.convex_hull(c, d) != hull_by_walls(system, c, d):
+            if system.convex_hull(c, d) != _within(elements, row, walls):
                 failures.append("%s hull %s %s" % (name, c, d))
             checks["hull-pairs"] += 1
             for I in subs:
                 gate = system.min_coset_rep_left(I, x)
-                if left[I][x] != (gate, 1):
+                least, ties = left[I][x]
+                if least != gate or ties != 1:
                     failures.append("%s projection %r %s %s"
                                     % (name, sorted(I), c, d))
                 checks["projection"] += 1

@@ -201,13 +201,6 @@ class PadicScalar:
         unit = (x // p**v) % p**N
         return cls(p, v, unit, N)
 
-    @classmethod
-    def from_unit(cls, p: int, v: int, unit: int, N: int = DEFAULT_PRECISION) -> "PadicScalar":
-        unit %= p**N
-        if unit % p == 0:
-            raise ValueError("unit part must be coprime to p")
-        return cls(p, v, unit, N)
-
     # -- predicates and views ------------------------------------------
 
     def is_zeroish(self) -> bool:
@@ -230,12 +223,6 @@ class PadicScalar:
                 f"valuation unknown: value is only known to be O({self.p}^{self.v})"
             )
         return self.v
-
-    def abs_precision(self):
-        """The value is pinned modulo p**abs_precision()."""
-        if self.unit == 0:
-            return self.v
-        return self.v + self.N
 
     # -- arithmetic -----------------------------------------------------
 
@@ -359,20 +346,6 @@ class PadicScalar:
 
     # -- comparisons and export -----------------------------------------
 
-    def residue(self, k: int) -> int:
-        """Integer congruent to the value modulo p**k (value must be integral)."""
-        if self.unit == 0:
-            if self.v is INF or self.v >= k:
-                return 0
-            raise PrecisionExhausted(f"residue mod p^{k} not determined")
-        if self.v < 0:
-            raise ValueError("value is not integral")
-        if self.v >= k:
-            return 0
-        if self.v + self.N < k:
-            raise PrecisionExhausted(f"residue mod p^{k} not determined")
-        return (self.p**self.v * self.unit) % self.p**k
-
     def __eq__(self, other) -> bool:
         # Structural equality of representations, not fuzzy closeness.
         if not isinstance(other, PadicScalar):
@@ -387,7 +360,7 @@ class PadicScalar:
             if self.v is INF:
                 return "0 (exact)"
             return f"O({self.p}^{self.v})"
-        return f"{self.p}^{self.v} * {self.unit} (mod {self.p}^{self.N})"
+        return f"{self.p}^{self.v} * {_decimal(self.unit)} (mod {self.p}^{self.N})"
 
     def to_literal(self) -> str:
         """Compact text form ``p^v*u`` for ``Mat.__repr__``.
@@ -399,7 +372,24 @@ class PadicScalar:
             if self.v is INF:
                 return "0"
             return f"O({self.p}^{self.v})"
-        return f"{self.p}^{self.v}*{self.unit}"
+        return f"{self.p}^{self.v}*{_decimal(self.unit)}"
+
+
+_BLOCK = 10**600  # fewer digits than any int-to-str limit CPython allows
+
+
+def _decimal(x: int) -> str:
+    """The decimal digits of ``x >= 0``, which ``str`` also gives below
+    CPython's int-to-str digit limit.  Above it, blocks of 600 digits are
+    printed one at a time, so the interpreter-wide limit stays as it is."""
+    try:
+        return str(x)
+    except ValueError:
+        blocks = []
+        while x >= _BLOCK:
+            x, low = divmod(x, _BLOCK)
+            blocks.append("%0600d" % low)
+        return str(x) + "".join(reversed(blocks))
 
 
 def _fold(x, plus=(), minus=()):

@@ -1,11 +1,11 @@
 """Frozen references for the live kernels, the shared input grids, and the
 table that runs each live function against its reference.
 
-Every speed-up of the p-adic kernel keeps here, as it was, the code it
-replaced.  Each row of ``ROWS`` pairs a live function with its reference
-on one grid of inputs, and ``check`` demands that the two show the same
-on every input (see ``observe``).  A kernel speed-up adds a row here, not
-a new test.
+Every speed-up of the p-adic or the Coxeter kernel keeps here, as it
+was, the code it replaced.  Each row of ``ROWS`` pairs a live function
+with its reference on one grid of inputs, and ``check`` demands that the
+two show the same on every input (see ``observe``).  A kernel speed-up
+adds a row here, not a new test.
 """
 
 import itertools
@@ -37,7 +37,9 @@ from buildinglab.building import (
     _swap_cols,
     _swap_rows,
 )
+from buildinglab.coxeter import CARTAN, WeylElement, get_system
 from buildinglab.dynamics import _radius, characteristic_polynomial
+from buildinglab.oracles import coset_minima, residue_type_by_conjugation, subsets
 from buildinglab.padic import (
     INF,
     NoSquareRoot,
@@ -55,10 +57,14 @@ DECOMP_CTX = [GroupContext(2, 3, 1), GroupContext(2, 3, N), GroupContext(3, 5, N
 
 def raw(x):
     """The raw (p, v, unit, N) fields of a scalar, of the entries of a
-    matrix, and of every scalar in a nested tuple or list; any other value
-    as it is."""
+    matrix, and of every scalar in a nested tuple, list or dict; a Weyl
+    group element as (system name, index); any other value as it is."""
     if isinstance(x, PadicScalar):
         return x.p, x.v, x.unit, x.N
+    if isinstance(x, WeylElement):
+        return x.system.name, x.index
+    if isinstance(x, dict):
+        return {raw(k): raw(v) for k, v in x.items()}
     if isinstance(x, Mat):
         return [[(y.p, y.v, y.unit, y.N) for y in row] for row in x.rows]
     if isinstance(x, (tuple, list)):
@@ -121,6 +127,18 @@ def row_tests(module):
 # -- shared inputs ------------------------------------------------------------------
 
 
+def scalar(p, v, unit, N):
+    """The scalar p**v * unit known to N digits, for an integer unit
+    coprime to p, which is reduced modulo p**N here."""
+    return PadicScalar(p, v, unit % p**N, N)
+
+
+def absolute_precision(x):
+    """The k for which a scalar is pinned modulo p**k."""
+    _, v, unit, n = raw(x)
+    return v if unit == 0 else v + n
+
+
 def draws(seed, count, contexts=ALL_CTX):
     """(ctx, rng) count times for each context, rng one seeded stream."""
     rng = random.Random(seed)
@@ -148,9 +166,8 @@ def mixed_matrix(ctx, rng):
         if kind < 0.3:
             return PadicScalar.near_zero(ctx.p, rng.randrange(-3, 12))
         u = rng.randrange(1, ctx.p**12)
-        return PadicScalar.from_unit(ctx.p, rng.randrange(-4, 6),
-                                     u if u % ctx.p else u + 1,
-                                     rng.randrange(1, N + 1))
+        return scalar(ctx.p, rng.randrange(-4, 6), u if u % ctx.p else u + 1,
+                      rng.randrange(1, N + 1))
     return ctx.mat([[entry() for _ in range(ctx.n)] for _ in range(ctx.n)])
 
 
@@ -249,8 +266,8 @@ def decomposition_inputs(ctx, rng):
     rng.shuffle(sigma)
     exps = [rng.randrange(-3, 4) for _ in range(n)]
     units = [rng.randrange(1, p**5) * p + 1 for _ in range(n)]
-    fine = ctx.mat([[PadicScalar.from_unit(p, rng.randrange(0, 3), rng.randrange(1, p**40) * p + 1,
-                                           ctx.precision + rng.randrange(0, 9))
+    fine = ctx.mat([[scalar(p, rng.randrange(0, 3), rng.randrange(1, p**40) * p + 1,
+                            ctx.precision + rng.randrange(0, 9))
                      for _ in range(n)] for _ in range(n)])
     return [ctx.random_element(rng), ctx.random_iwahori(rng),
             ctx.perm(sigma) * ctx.diag(exps, units), fine,
@@ -369,7 +386,7 @@ def _ref_random_unit(ctx, rng):
     u = rng.randrange(1, ctx.p ** min(ctx.precision, 8))
     while u % ctx.p == 0:
         u += 1
-    return PadicScalar.from_unit(ctx.p, 0, u, ctx.precision)
+    return PadicScalar(ctx.p, 0, u, ctx.precision)
 
 
 def _ref_random_zp(ctx, rng, min_val=0):
@@ -583,6 +600,56 @@ def _chained_char_poly(g):
     return tuple(acc)
 
 
+# The coset minimisations and the Coxeter oracles as they were on
+# WeylElement products, before they ran on element indices.  The right
+# descents are read from their table, as WeylElement.right_descents did.
+
+def _ref_min_coset_rep(system, w, J):
+    J = frozenset(J)
+    strip = J & system._right_descents[w.index]
+    while strip:
+        w = w * system.simple(min(strip))
+        strip = J & system._right_descents[w.index]
+    return w
+
+
+def _ref_min_coset_rep_left(system, I, w):
+    I = frozenset(I)
+    strip = I & w.left_descents()
+    while strip:
+        w = system.simple(min(strip)) * w
+        strip = I & w.left_descents()
+    return w
+
+
+def _ref_parabolic_intersection(system, I, w, J):
+    J = frozenset(J)
+    out = set()
+    for i in frozenset(I):
+        conj = w.inverse() * system.simple(i) * w
+        if any(conj == system.simple(j) for j in J):
+            out.add(i)
+    return frozenset(out)
+
+
+def _ref_coset_minima(system, I, J):
+    W_I, W_J = system.parabolic(I), system.parabolic(J)
+    out = {}
+    for w in system.elements():
+        if w not in out:
+            coset = list({u * w * v for u in W_I for v in W_J})
+            lengths = [x.length for x in coset]  # the least, as _least gave it
+            least = min(lengths)
+            out.update(dict.fromkeys(
+                coset, (coset[lengths.index(least)], lengths.count(least))))
+    return out
+
+
+def _ref_residue_type_by_conjugation(system, I, rep, W_J):
+    inv = rep.inverse()
+    return frozenset(i for i in I if inv * system.simple(i) * rep in W_J)
+
+
 # -- grids, and the table of rows ------------------------------------------------
 
 
@@ -684,8 +751,8 @@ def _residual_triples(ctx, rng):
     cols = [list(r) for r in b.rows]
     for r in cols:
         r[rng.randrange(n)] = ctx.zero
-    fine = [[PadicScalar.from_unit(p, rng.randrange(-2, 3), rng.randrange(1, p**40) * p + 1,
-                                   N + rng.randrange(1, 9)) for _ in range(n)]
+    fine = [[scalar(p, rng.randrange(-2, 3), rng.randrange(1, p**40) * p + 1,
+                    N + rng.randrange(1, 9)) for _ in range(n)]
             for _ in range(n)]
     ab = a * b
     near = [[x if rng.random() < 0.5 else _fold(x, ((y, y),)) for x, y in zip(r, rg)]
@@ -827,6 +894,27 @@ def _residues_of_odd_primes():
     return ((a, p) for p in primes for a in range(p))
 
 
+def _weyl_systems():
+    return [get_system(name) for name in CARTAN]
+
+
+def _weyl_one_sided():
+    """(system, w, J): every system in CARTAN, every element, every subset."""
+    return [(s, w, J) for s in _weyl_systems() for w in s.elements()
+            for J in subsets(s.rank)]
+
+
+def _weyl_subset_pairs():
+    """(system, I, J): every system in CARTAN, every pair of subsets."""
+    return [(s, I, J) for s in _weyl_systems()
+            for I in subsets(s.rank) for J in subsets(s.rank)]
+
+
+def _weyl_double():
+    """(system, I, w, J): every element between every pair of subsets."""
+    return [(s, I, w, J) for s, I, J in _weyl_subset_pairs() for w in s.elements()]
+
+
 def _in_turn(*samplers):
     """The samplers in turn on one seed's stream: each draw's raw fields and
     the state after it, in a namespace that raw does not walk again."""
@@ -899,6 +987,23 @@ ROWS = {
     "test_padic": (
         Row("test_sqrt_mod_p_matches_residue_search", _least_sqrt_mod_p, _ref_sqrt_mod_p,
             _residues_of_odd_primes),
+    ),
+    "test_coxeter": (
+        Row("test_min_coset_rep_matches_element_reference",
+            lambda s, w, J: s.min_coset_rep(w, J), _ref_min_coset_rep, _weyl_one_sided),
+        Row("test_min_coset_rep_left_matches_element_reference",
+            lambda s, w, I: s.min_coset_rep_left(I, w),
+            lambda s, w, I: _ref_min_coset_rep_left(s, I, w), _weyl_one_sided),
+        Row("test_parabolic_intersection_matches_element_reference",
+            lambda s, I, w, J: s.parabolic_intersection(I, w, J),
+            _ref_parabolic_intersection, _weyl_double),
+        Row("test_coset_minima_match_element_reference",
+            coset_minima, _ref_coset_minima, _weyl_subset_pairs),
+        Row("test_residue_type_matches_element_reference",
+            lambda s, I, w, J: residue_type_by_conjugation(
+                s, I, w, {u.index for u in s.parabolic(J)}),
+            lambda s, I, w, J: _ref_residue_type_by_conjugation(s, I, w, set(s.parabolic(J))),
+            _weyl_double),
     ),
     "test_dynamics": (
         Row("test_char_poly_matches_chained_scalars", characteristic_polynomial,

@@ -630,6 +630,18 @@ def test_chabauty_takes_square_roots_beyond_p_20011(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_chabauty_reports_units_beyond_the_int_to_str_limit(tmp_path, capsys):
+    # at p = 4294967291 and precision 460 a unit has more than 4,300
+    # digits; the run writes its report and exits by its outcome
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(_preset_with(SO2, **{"group.p": 4294967291,
+                                                   "group.precision": 460})))
+    assert main(["chabauty", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    outcome = json.loads((out / "report.json").read_text())["meta"]["outcome"]
+    assert outcome["reason"] == "status=inconclusive recovered=0"
+
+
 @pytest.mark.parametrize("changes,argv,code", [
     ({"gate_target": 0}, [], 2),
     ({"gate_target": -5}, [], 2),

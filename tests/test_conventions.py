@@ -182,9 +182,6 @@ _UNREACHED = {
     "project_to_residue": "ROADMAP item 2 gives it a caller",
     "is_regular": "ROADMAP item 5 or 6 gives it a caller",
     "agreement_gate": "CONVENTIONS.md defines the gate by it",
-    "from_unit": "tests build scalars with it",
-    "abs_precision": "tests read the precision of scalars with it",
-    "residue": "tests read residues with it",
 }
 
 

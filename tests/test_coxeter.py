@@ -22,8 +22,13 @@ from buildinglab.coxeter import (
     translation_type,
     weyl_from_permutation,
 )
+from reference import row_tests
 
 SYSTEMS = ["A1", "A2", "A3", "B2", "C2", "G2"]
+
+# The coset minimisations and the oracles against their element-based
+# references in tests/reference.py: one test per row, named by the row.
+globals().update(row_tests("test_coxeter"))
 
 # frozen from the word-BFS / dihedral-presentation oracles below
 EXPECTED_ORDER = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12}
@@ -67,14 +72,17 @@ def test_tables_against_matrix_representation(name):
     assert els == sorted(els, key=lambda w: (w.length, w.word))
     ident = _identity_mat(sys.rank)
     for a in els:
-        assert a.inverse().mat == a.inv_mat
+        assert a.inverse().mat == els[sys._inv[a.index]].mat == a.inv_mat
         assert _mat_mul(a.mat, a.inverse().mat) == ident
         for i in range(sys.rank):
             alpha = sys.alpha(i)
             assert (i in a.left_descents()) == _is_negative(_mat_vec(a.inv_mat, alpha))
-            assert (i in a.right_descents()) == _is_negative(_mat_vec(a.mat, alpha))
+            assert (i in sys._right_descents[a.index]) == _is_negative(_mat_vec(a.mat, alpha))
+            s_i = sys.simple(i).mat
+            assert els[sys._right[a.index][i]].mat == _mat_mul(a.mat, s_i)
+            assert els[sys._left[a.index][i]].mat == _mat_mul(s_i, a.mat)
         for b in els:
-            assert (a * b).mat == _mat_mul(a.mat, b.mat)
+            assert (a * b).mat == els[sys._mul[a.index][b.index]].mat == _mat_mul(a.mat, b.mat)
             assert sys.separating_walls(a, b) == oracles.separating_walls_by_sides(sys, a, b)
 
 
@@ -103,7 +111,7 @@ def test_descent_criteria(name):
     for w in sys.elements():
         for i in range(sys.rank):
             assert (i in w.left_descents()) == ((sys.simple(i) * w).length < w.length)
-            assert (i in w.right_descents()) == ((w * sys.simple(i)).length < w.length)
+            assert (i in sys._right_descents[w.index]) == ((w * sys.simple(i)).length < w.length)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])

@@ -8,6 +8,7 @@ scalar still claims to know.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from buildinglab.padic import (
     _inv_unit,
     int_valuation,
 )
-from reference import chained_fold, observe, raw, row_tests
+from reference import absolute_precision, chained_fold, observe, raw, row_tests, scalar
 
 P = 3
 N = 16
@@ -34,7 +35,7 @@ globals().update(row_tests("test_padic"))
 
 def oracle_agrees(x: PadicScalar, exact: int, K: int) -> bool:
     """Does x agree with the exact integer on all digits x claims?"""
-    k = x.abs_precision()
+    k = absolute_precision(x)
     if k is INF:
         return exact % P**K == 0
     k = min(k, K)
@@ -131,10 +132,10 @@ def test_negative_valuation_arithmetic():
 
 
 def test_precision_floor_on_mixed_operands():
-    a = PadicScalar.from_unit(P, 0, 5, 6)
-    b = PadicScalar.from_unit(P, 0, 7, 12)
+    a = PadicScalar(P, 0, 5, 6)
+    b = PadicScalar(P, 0, 7, 12)
     assert (a * b).N == 6
-    assert (a + b).abs_precision() == 6
+    assert absolute_precision(a + b) == 6
 
 
 def test_sqrt_known_values():
@@ -172,6 +173,18 @@ def test_to_literal_strings():
     assert PadicScalar.near_zero(P, 4).to_literal() == "O(3^4)"
 
 
+def test_units_beyond_the_int_to_str_limit_print_every_digit():
+    # str() refuses an int of more than 4,300 digits unless the
+    # interpreter-wide limit is raised, which printing must not do
+    limit = sys.get_int_max_str_digits()
+    ones, sparse = (10**5000 - 1) // 9, 10**4999 + 1  # both prime to 3
+    for u, digits in ((ones, "1" * 5000), (sparse, "1" + "0" * 4998 + "1")):
+        x = PadicScalar(P, 2, u, 10500)  # 3**10500 has 5,010 digits
+        assert x.to_literal() == "3^2*" + digits
+        assert repr(x) == "3^2 * %s (mod 3^10500)" % digits
+    assert sys.get_int_max_str_digits() == limit
+
+
 small_ints = st.integers(min_value=-(3**9), max_value=3**9)
 
 
@@ -192,7 +205,7 @@ def test_ultrametric_inequality(a, b):
     sb = PadicScalar.from_int(b, P, N)
     s = sa + sb
     floor = min(sa.val_floor(), sb.val_floor())
-    assert s.val_floor() >= min(floor, s.abs_precision() if s.unit == 0 else math.inf)
+    assert s.val_floor() >= min(floor, absolute_precision(s) if s.unit == 0 else math.inf)
     if not s.is_zeroish():
         assert s.val_floor() >= floor
     # strict case: different valuations force equality
@@ -204,7 +217,7 @@ def test_ultrametric_inequality(a, b):
 
 
 def _nonzero(p, v, u, n):
-    return PadicScalar.from_unit(p, v, u if u % p else u + 1, n)
+    return scalar(p, v, u if u % p else u + 1, n)
 
 
 def scalars(primes):
@@ -254,8 +267,8 @@ def test_fold_mixed_primes_raise_like_the_chain(args):
 def test_power_table_stays_within_precision():
     # terms 2000 valuations apart still use only exponents below N
     p = 101
-    hi = PadicScalar.from_unit(p, 1000, 2, 8)
-    lo = PadicScalar.from_unit(p, -1000, 3, 8)
+    hi = PadicScalar(p, 1000, 2, 8)
+    lo = PadicScalar(p, -1000, 3, 8)
     one = PadicScalar.one(p, 8)
     s = _fold(hi, [(lo, one)], [(one, hi)])
     assert raw(s) == raw(chained_fold(hi, [(lo, one)], [(one, hi)]))
