@@ -66,7 +66,8 @@ class _Field(_Record):
     """A config field: a value of exactly `type` (a bool is no integer) that
     passes each (expectation, test(value, group)) rule.  A callable default
     is a function of the group.  `fields` is an object's own table; each
-    list entry is checked as an `entry` field named `<list>[<index>]`."""
+    list entry is checked as an `entry` field named `<list>[<index>]`,
+    whose rules see the entry itself as the group (entries are groups)."""
     type: type
     default: Any = _REQUIRED
     rules: Tuple[Tuple[str, Callable[[Any, Any], Any]], ...] = ()
@@ -90,7 +91,7 @@ _EXPONENTS = (("expected n integers that sum to 0, not all zero",
                lambda v, g: _ints(v, g["n"]) and sum(v) == 0 and any(v)),)
 _GROUP = _Field(dict, fields=dict(family=_only("SL"), **{
     key: _Field(int, 32 if key == "precision" else _REQUIRED,
-                (("expected " + what, lambda v, g, ok=ok: ok(v)),))
+                (("expected " + what, ok),))
     for key, (what, ok) in _GROUP_RULES.items()}))
 _ROOT = {"kind": _Field(str), "seed": _Field(int, 0), "out": _Field(str, None)}
 
@@ -199,7 +200,7 @@ def _check_field(value: Any, spec: _Field, path: str, kind: str,
     if spec.fields is not None:
         _check_fields(value, spec.fields, path + ".", kind, group)
     for i, item in enumerate(value) if spec.entry is not None else ():
-        _check_field(item, spec.entry, "%s[%d]" % (path, i), kind)
+        _check_field(item, spec.entry, "%s[%d]" % (path, i), kind, item)
     for rule, test in spec.rules:
         if not test(value, group):
             _fail(path, rule, value)

@@ -7,8 +7,9 @@ once from that faithful representation and numbers the elements in
 ShortLex order of their reduced words; an element is a handle carrying
 that index.  Products, inverses, left and right descents, inversion
 sets and gallery distances are then table lookups, built from the
-matrices of the generator products the enumeration makes, so two
-elements are equal exactly when their matrices agree.
+matrices of the generator products the enumeration makes.  Each element
+is made once, so two elements are equal exactly when they are the same
+object.
 
 The tables are kept on element indices as well: ``_mul[a][b]`` is the
 index of a * b, ``_inv[a]`` that of a^-1, ``_right[w][i]`` that of
@@ -75,6 +76,11 @@ class WeylElement:
 
     ``index`` is the element's position in the ShortLex order of its
     system; ``mat`` is its action on the simple-root basis.
+
+    Elements compare and hash by identity.  ``CoxeterSystem._build_tables``
+    is the only place an element is made, one per index, and every table
+    and method of the system returns those objects, so ``a is b`` holds
+    exactly when ``a.system is b.system and a.index == b.index``.
     """
 
     __slots__ = ("system", "index", "mat", "inv_mat", "word")
@@ -114,14 +120,6 @@ class WeylElement:
 
     def is_identity(self) -> bool:
         return not self.word
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.system is other.system and self.index == other.index
-
-    def __hash__(self):
-        return self.index
 
     def __repr__(self) -> str:
         if not self.word:
@@ -303,7 +301,7 @@ class CoxeterSystem:
         self, I: Iterable[int], w: WeylElement, J: Iterable[int]
     ) -> WeylElement:
         prev = None
-        while prev != w:
+        while prev is not w:
             prev = w
             w = self.min_coset_rep_left(I, self.min_coset_rep(w, J))
         return w

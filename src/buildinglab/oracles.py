@@ -20,9 +20,17 @@ The enumerations run on element indices of the group table: the
 products u w v in ``coset_minima`` and the conjugates rep^-1 s_i rep in
 ``residue_type_by_conjugation`` are lookups in ``_mul``.  They are still
 exhaustive; only their answers are made ``WeylElement``s.
-``check_system`` computes the separating walls from each chamber c to
-every chamber once, and reads both the walls between c and d and the
-hull-by-walls predicate at every d from that row.
+
+``check_system`` builds its tables once, before the loops over elements:
+the ``coset_minima`` table of every pair (I, J) of generator subsets, the
+index set of every W_J, and one list of the pairs with their tables.  It
+computes the oracle's residue type once per (I, J) and library
+representative, as it depends on nothing else, while every library call
+is still made once per element and pair.  It computes the separating
+walls from each chamber c to every chamber once, and reads both the walls
+between c and d and the hull-by-walls predicate at every d from that row.
+Elements compare by identity (see ``coxeter.WeylElement``), so a library
+answer is right exactly when it is the oracle's object.
 """
 
 from __future__ import annotations
@@ -104,26 +112,28 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
     name = system.name
     elements = system.elements()
     subs = subsets(system.rank)
-    par_sets = {I: set(_indices(system, I)) for I in subs}
-    double = {(I, J): coset_minima(system, I, J) for I in subs for J in subs}
-    left = {I: double[I, frozenset()] for I in subs}  # the cosets W_I x
-    checks = {"double-coset": 0, "residue-type": 0, "projection": 0,
-              "separating-walls": 0, "hull-pairs": 0}
+    par_sets = {J: set(_indices(system, J)) for J in subs}
+    # per pair (I, J): its coset table, W_J as indices, and the oracle's
+    # residue type of each library representative, filled as reps come up
+    pairs = [(I, J, coset_minima(system, I, J), par_sets[J], {})
+             for I in subs for J in subs]
+    left = [(I, minima) for I, J, minima, _, _ in pairs if not J]  # the cosets W_I x
     failures: List[str] = []
     for w in elements:
-        for I in subs:
-            for J in subs:
-                rep = system.min_double_coset_rep(I, w, J)
-                least, ties = double[I, J][w]
-                if least != rep or ties != 1:
-                    failures.append("%s double-coset %r %s %r"
-                                    % (name, sorted(I), w.word, sorted(J)))
-                checks["double-coset"] += 1
-                if (system.parabolic_intersection(I, rep, J)
-                        != residue_type_by_conjugation(system, I, rep, par_sets[J])):
-                    failures.append("%s residue-type %r %s %r"
-                                    % (name, sorted(I), w.word, sorted(J)))
-                checks["residue-type"] += 1
+        for I, J, minima, W_J, by_conjugation in pairs:
+            rep = system.min_double_coset_rep(I, w, J)
+            least, ties = minima[w]
+            if least is not rep or ties != 1:
+                failures.append("%s double-coset %r %s %r"
+                                % (name, sorted(I), w.word, sorted(J)))
+            found = system.parabolic_intersection(I, rep, J)
+            expected = by_conjugation.get(rep)
+            if expected is None:
+                expected = by_conjugation[rep] = residue_type_by_conjugation(
+                    system, I, rep, W_J)
+            if found != expected:
+                failures.append("%s residue-type %r %s %r"
+                                % (name, sorted(I), w.word, sorted(J)))
     for c in elements:
         row = [system.separating_walls(c, x) for x in elements]
         for d in elements:
@@ -131,17 +141,20 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
             walls = row[d.index]
             if len(walls) != x.length or walls != system.separating_walls(d, c):
                 failures.append("%s separating %s %s" % (name, c, d))
-            checks["separating-walls"] += 1
             if system.convex_hull(c, d) != _within(elements, row, walls):
                 failures.append("%s hull %s %s" % (name, c, d))
-            checks["hull-pairs"] += 1
-            for I in subs:
+            for I, cosets in left:
                 gate = system.min_coset_rep_left(I, x)
-                least, ties = left[I][x]
-                if least != gate or ties != 1:
+                least, ties = cosets[x]
+                if least is not gate or ties != 1:
                     failures.append("%s projection %r %s %s"
                                     % (name, sorted(I), c, d))
-                checks["projection"] += 1
+    # each loop body above makes one check of each of its kinds
+    chambers = len(elements) ** 2
+    checks = {"double-coset": len(elements) * len(pairs),
+              "residue-type": len(elements) * len(pairs),
+              "projection": chambers * len(subs),
+              "separating-walls": chambers, "hull-pairs": chambers}
     return checks, failures
 
 

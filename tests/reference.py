@@ -37,9 +37,16 @@ from buildinglab.building import (
     _swap_cols,
     _swap_rows,
 )
-from buildinglab.coxeter import CARTAN, WeylElement, get_system
+from buildinglab.coxeter import CARTAN, CoxeterSystem, WeylElement, get_system
 from buildinglab.dynamics import _radius, characteristic_polynomial
-from buildinglab.oracles import coset_minima, residue_type_by_conjugation, subsets
+from buildinglab.oracles import (
+    _indices,
+    _within,
+    check_system,
+    coset_minima,
+    residue_type_by_conjugation,
+    subsets,
+)
 from buildinglab.padic import (
     INF,
     NoSquareRoot,
@@ -650,6 +657,78 @@ def _ref_residue_type_by_conjugation(system, I, rep, W_J):
     return frozenset(i for i in I if inv * system.simple(i) * rep in W_J)
 
 
+# check_system as it was before it built its per-pair tables once and read
+# the oracle's residue type once per representative.
+
+def _ref_check_system(system):
+    name = system.name
+    elements = system.elements()
+    subs = subsets(system.rank)
+    par_sets = {I: set(_indices(system, I)) for I in subs}
+    double = {(I, J): coset_minima(system, I, J) for I in subs for J in subs}
+    left = {I: double[I, frozenset()] for I in subs}  # the cosets W_I x
+    checks = {"double-coset": 0, "residue-type": 0, "projection": 0,
+              "separating-walls": 0, "hull-pairs": 0}
+    failures = []
+    for w in elements:
+        for I in subs:
+            for J in subs:
+                rep = system.min_double_coset_rep(I, w, J)
+                least, ties = double[I, J][w]
+                if least != rep or ties != 1:
+                    failures.append("%s double-coset %r %s %r"
+                                    % (name, sorted(I), w.word, sorted(J)))
+                checks["double-coset"] += 1
+                if (system.parabolic_intersection(I, rep, J)
+                        != residue_type_by_conjugation(system, I, rep, par_sets[J])):
+                    failures.append("%s residue-type %r %s %r"
+                                    % (name, sorted(I), w.word, sorted(J)))
+                checks["residue-type"] += 1
+    for c in elements:
+        row = [system.separating_walls(c, x) for x in elements]
+        for d in elements:
+            x = c.inverse() * d
+            walls = row[d.index]
+            if len(walls) != x.length or walls != system.separating_walls(d, c):
+                failures.append("%s separating %s %s" % (name, c, d))
+            checks["separating-walls"] += 1
+            if system.convex_hull(c, d) != _within(elements, row, walls):
+                failures.append("%s hull %s %s" % (name, c, d))
+            checks["hull-pairs"] += 1
+            for I in subs:
+                gate = system.min_coset_rep_left(I, x)
+                least, ties = left[I][x]
+                if least != gate or ties != 1:
+                    failures.append("%s projection %r %s %s"
+                                    % (name, sorted(I), c, d))
+                checks["projection"] += 1
+    return checks, failures
+
+
+class _WrongA2(CoxeterSystem):
+    """A2 whose library answers are wrong at one element of the four-element
+    double coset W_{0} e W_{1}, at the projection of s1 s0 to W_{1} and at the
+    hull of (e, s0 s1)."""
+
+    def __init__(self):
+        super().__init__("A2")
+
+    def min_double_coset_rep(self, I, w, J):
+        if (I, w.word, J) == ({0}, (0,), {1}):
+            return w
+        return super().min_double_coset_rep(I, w, J)
+
+    def min_coset_rep_left(self, I, w):
+        if (I, w.word) == ({1}, (1, 0)):
+            return w
+        return super().min_coset_rep_left(I, w)
+
+    def convex_hull(self, c, d):
+        if (c.word, d.word) == ((), (0, 1)):
+            return frozenset({c, d})
+        return super().convex_hull(c, d)
+
+
 # -- grids, and the table of rows ------------------------------------------------
 
 
@@ -1004,6 +1083,8 @@ ROWS = {
                 s, I, w, {u.index for u in s.parabolic(J)}),
             lambda s, I, w, J: _ref_residue_type_by_conjugation(s, I, w, set(s.parabolic(J))),
             _weyl_double),
+        Row("test_check_system_matches_reference", check_system, _ref_check_system,
+            lambda: [(s,) for s in _weyl_systems()] + [(_WrongA2(),)]),
     ),
     "test_dynamics": (
         Row("test_char_poly_matches_chained_scalars", characteristic_polynomial,

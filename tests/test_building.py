@@ -165,7 +165,8 @@ def test_residue_prefilter_is_exact():
 
 @pytest.mark.parametrize("n,p,precision", [
     (1, 3, 32), (5, 3, 32), (2, 1, 32), (2, 6, 32), (2, 9, 32),
-    (2, 2**32 + 15, 32), (2, 3, 0), (3, 5, -2),
+    (2, 2**32 + 15, 32), (2, 3, 0), (3, 5, -2), (2, 3, 16385),
+    (2, 4294967291, 1025),
 ])
 def test_group_context_rejects_bad_groups(n, p, precision):
     with pytest.raises(ValueError, match="group "):
@@ -303,6 +304,23 @@ def test_cartan_decomposition():
 def test_cartan_on_diagonal_is_sorted_exponents():
     k1, exps, k2 = cartan_decomposition(CTX3.diag((1, -2, 1)))
     assert exps == (1, 1, -2)
+
+
+def test_cartan_exponents_invariant_under_permutations():
+    """Permutation matrices lie in GL_n(Z_p), so w g w' has the Cartan
+    exponents of g: every left permutation w, with one random right w'."""
+    rng = random.Random(7)
+    cases = 0
+    for n, p in ((2, 3), (3, 5), (4, 2)):
+        ctx = GroupContext(n, p)
+        for _ in range(20):
+            g = mild_element(ctx, rng)
+            exps = cartan_decomposition(g)[1]
+            for sigma in itertools.permutations(range(n)):
+                moved = ctx.perm(sigma) * g * ctx.perm(rng.sample(range(n), n))
+                assert cartan_decomposition(moved)[1] == exps, (n, p, sigma)
+                cases += 1
+    assert cases == 640
 
 
 def test_iwasawa_decomposition_both_sides():

@@ -466,12 +466,25 @@ def test_family_presets_at_low_precision(capsys, command, preset, precision):
 @pytest.mark.parametrize("field,value", [
     ("p", 1), ("p", 0), ("p", -3), ("p", 6), ("p", 9), ("p", 2**32 + 15),
     ("n", 1), ("n", 5), ("precision", 0), ("precision", -2),
+    ("precision", 16385),
 ])
 def test_group_is_validated(field, value):
     # parse_config only: with p = 1 the arithmetic would never return
     data = dict(PRESETS["sl2-q3-transit"])
     data["group"] = dict(data["group"], **{field: value})
     with pytest.raises(ConfigError, match=r"'group\.%s'" % field):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("p,largest", [(2, 16384), (3, 16384), (5, 10922),
+                                       (4294967291, 1024)])
+def test_precision_is_bounded_by_the_bits_of_a_unit(p, largest):
+    # precision * p.bit_length() at most 2**15, checked before any arithmetic
+    data = dict(PRESETS["sl2-q3-transit"])
+    data["group"] = dict(data["group"], p=p, precision=largest)
+    assert parse_config(data).group["precision"] == largest
+    data["group"]["precision"] = largest + 1
+    with pytest.raises(ConfigError, match=r"'group\.precision'"):
         parse_config(data)
 
 
@@ -483,6 +496,9 @@ def test_group_is_validated(field, value):
     # one override per entry of `groups`: only the non-empty one is spoilt
     ("decompositions", [{"p": 6}, {}], []),
     ("decompositions", [{}, {"precision": 0}], []),
+    ("decompositions", [{}, {"p": 4294967291, "precision": 1025}], []),
+    # above the bound at p = 3, set through --precision
+    ("sl2-q3-transit", {}, ["--precision", "16385"]),
 ])
 def test_invalid_group_exits_2(tmp_path, capsys, preset, group, argv):
     data = dict(PRESETS[preset])
@@ -614,6 +630,9 @@ SO2 = "so2-sl2-q5"
                 [[1, 2], [2, 4]])],
     # a repeated type would run its oracles twice for one report entry
     ("types", {"kind": "coxeter-oracle", "types": ["A3", "A3"]}),
+    # one digit above the bound: 1025 * 32 bits per unit, over 2**15
+    ("group.precision", _preset_with(SO2, **{"group.p": 4294967291,
+                                             "group.precision": 1025})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, path, data):
     cfg = tmp_path / "cfg.json"

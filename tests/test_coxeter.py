@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from buildinglab import oracles
 from buildinglab.coxeter import (
+    CARTAN,
     AffineSystem,
     CoxeterSystem,
     _identity_mat,
@@ -22,7 +23,7 @@ from buildinglab.coxeter import (
     translation_type,
     weyl_from_permutation,
 )
-from reference import row_tests
+from reference import _WrongA2, row_tests
 
 SYSTEMS = ["A1", "A2", "A3", "B2", "C2", "G2"]
 
@@ -86,6 +87,39 @@ def test_tables_against_matrix_representation(name):
             assert sys.separating_walls(a, b) == oracles.separating_walls_by_sides(sys, a, b)
 
 
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_every_element_is_one_of_the_systems_objects(name):
+    """Elements compare by identity, which is index equality only if each
+    is made once: every table and method hands out the objects of
+    elements(), and the elements of another instance are other objects."""
+    sys = get_system(name)
+    assert get_system(name) is sys
+    els = sys.elements()
+    assert [w.index for w in els] == list(range(sys.order()))
+
+    def own(w):
+        return w is els[w.index]
+
+    subs = oracles.subsets(sys.rank)
+    results = [sys.identity, sys.longest_element()]
+    results += [sys.simple(i) for i in range(sys.rank)]
+    results += [x for row in sys._products for x in row] + sys._inverses
+    results += [x for J in subs for x in sys.parabolic(J)]
+    for w in els:
+        results.append(sys.from_word(w.word))
+        for J in subs:
+            results += [sys.min_coset_rep(w, J), sys.min_coset_rep_left(J, w)]
+            results += [sys.min_double_coset_rep(I, w, J) for I in subs]
+            results += [sys.project_to_residue(w, J, c) for c in els]
+    if name.startswith("A"):
+        results += [weyl_from_permutation(sys, sigma)
+                    for sigma in permutations(range(sys.rank + 1))]
+    assert all(own(w) for w in results)
+    other = CoxeterSystem(name)
+    assert not any(x == y for x in other.elements() for y in els)
+    assert len(set(els) | set(other.elements())) == 2 * sys.order()
+
+
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_shortlex_normal_form(name):
     sys = get_system(name)
@@ -138,30 +172,6 @@ def test_min_double_coset_reps(name):
             brute = oracles.coset_minima(sys, I, J)
             for w in sys.elements():
                 assert brute[w] == (sys.min_double_coset_rep(I, w, J), 1)
-
-
-class _WrongA2(CoxeterSystem):
-    """A2 whose library answers are wrong at one element of the four-element
-    double coset W_{0} e W_{1}, at the projection of s1 s0 to W_{1} and at the
-    hull of (e, s0 s1)."""
-
-    def __init__(self):
-        super().__init__("A2")
-
-    def min_double_coset_rep(self, I, w, J):
-        if (I, w.word, J) == ({0}, (0,), {1}):
-            return w
-        return super().min_double_coset_rep(I, w, J)
-
-    def min_coset_rep_left(self, I, w):
-        if (I, w.word) == ({1}, (1, 0)):
-            return w
-        return super().min_coset_rep_left(I, w)
-
-    def convex_hull(self, c, d):
-        if (c.word, d.word) == ((), (0, 1)):
-            return frozenset({c, d})
-        return super().convex_hull(c, d)
 
 
 def test_shared_enumeration_reports_every_wrong_answer():

@@ -241,6 +241,22 @@ def test_classify_sl3_frozen():
     assert parabolic_membership(singular.element, singular.sigma_minus)
 
 
+@pytest.mark.parametrize("p,exps", [
+    (3, (1, -1)), (3, (1, 0, -1)), (3, (1, 1, -2)), (5, (-1, 1)),
+    (5, (2, -1, -1)), (2, (1, 1, -1, -1)), (3, (3, 1, -2, -2)),
+])
+def test_classify_inverse_swaps_the_endpoints(p, exps):
+    """gamma^-1 attracts where gamma repels, translates as far, and its
+    wall type is gamma's under the opposition i -> n - 2 - i."""
+    n = len(exps)
+    g = GroupContext(n, p).diag(exps)
+    cert, inverse = classify(g), classify(g.inv())
+    assert inverse.sigma_plus.same(cert.sigma_minus)
+    assert inverse.sigma_minus.same(cert.sigma_plus)
+    assert inverse.translation_length == cert.translation_length
+    assert inverse.wall_type == frozenset(n - 2 - i for i in cert.wall_type)
+
+
 def test_classify_elliptic_and_bad_frame():
     ctx = GroupContext(2, 3)
     rng = random.Random(43)
