@@ -10,11 +10,11 @@ ch. 3).  ``check_system`` runs the exhaustive comparison behind the
 ``coset_minima`` enumerates each double coset W_I w W_J once, over
 all products u w v, and gives its least element to every member; an
 empty I or J gives the one-sided cosets.  ``check_system`` thus makes
-one enumeration per coset and still one check, with one library call,
-per element.  Sharing relies only on the cosets partitioning the group,
-which holds because the product table is a group table.  The oracle
-reports how many elements tie for the least length instead of asserting
-uniqueness, so a wrong library answer is a recorded failure.
+one enumeration per coset and still one check per element.  Sharing
+relies only on the cosets partitioning the group, which holds because
+the product table is a group table.  The oracle reports how many
+elements tie for the least length instead of asserting uniqueness, so a
+wrong library answer is a recorded failure.
 
 The enumerations run on element indices of the group table: the
 products u w v in ``coset_minima`` and the conjugates rep^-1 s_i rep in
@@ -22,15 +22,21 @@ products u w v in ``coset_minima`` and the conjugates rep^-1 s_i rep in
 exhaustive; only their answers are made ``WeylElement``s.
 
 ``check_system`` builds its tables once, before the loops over elements:
-the ``coset_minima`` table of every pair (I, J) of generator subsets, the
-index set of every W_J, and one list of the pairs with their tables.  It
-computes the oracle's residue type once per (I, J) and library
-representative, as it depends on nothing else, while every library call
-is still made once per element and pair.  It computes the separating
-walls from each chamber c to every chamber once, and reads both the walls
-between c and d and the hull-by-walls predicate at every d from that row.
-Elements compare by identity (see ``coxeter.WeylElement``), so a library
-answer is right exactly when it is the oracle's object.
+the index list of every W_J, the ``coset_minima`` table of every pair
+(I, J) of generator subsets, and one list of the pairs with their
+tables.  A check is one case covered, and each distinct library question
+is asked once; every case that poses it reads the stored answer.  A
+library answer depends only on its arguments (the tables are built once,
+and elements compare by identity), so a repeated question cannot get
+another answer.  So the residue type of (I, rep, J) is asked once per
+library representative rep, and the projection to W_I x once per element
+x, while every pair of chambers (c, d) with c^-1 d = x counts a check.
+The one exception is the separating walls: the walls from each chamber c
+to every chamber are asked once, as a row from which both the walls
+between c and d and the hull-by-walls predicate at every d are read, and
+the symmetry check asks the walls from d to c again.  Elements compare
+by identity (see ``coxeter.WeylElement``), so a library answer is right
+exactly when it is the oracle's object.
 """
 
 from __future__ import annotations
@@ -63,8 +69,13 @@ def coset_minima(system: CoxeterSystem, I: FrozenSet[int], J: FrozenSet[int]
     The least element is the one of least index, as indices follow
     ShortLex order.
     """
+    return _coset_minima(system, _indices(system, I), _indices(system, J))
+
+
+def _coset_minima(system: CoxeterSystem, W_I: List[int], W_J: List[int]
+                  ) -> Dict[WeylElement, Tuple[WeylElement, int]]:
+    """``coset_minima`` for W_I and W_J given as their index lists."""
     mul, lengths = system._mul, system._distances[0]  # l(x) = d(e, x)
-    W_I, W_J = _indices(system, I), _indices(system, J)
     minima: List = [None] * system.order()
     for w in range(len(minima)):
         if minima[w] is None:
@@ -106,34 +117,46 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
     Double-coset representatives and residue types run over every
     element and every pair of generator subsets; separating walls,
     hulls and projections run over every pair of chambers and, for
-    projections, every subset.  Returns the number of checks of each
-    kind and one failure string per disagreement.
+    projections, every subset.  A check is one such case covered: each
+    distinct library question is asked once, and every case reads its
+    answer.  Returns the number of checks of each kind and one failure
+    string per case the library gets wrong.
     """
     name = system.name
     elements = system.elements()
     subs = subsets(system.rank)
-    par_sets = {J: set(_indices(system, J)) for J in subs}
-    # per pair (I, J): its coset table, W_J as indices, and the oracle's
-    # residue type of each library representative, filled as reps come up
-    pairs = [(I, J, coset_minima(system, I, J), par_sets[J], {})
+    par_lists = {J: _indices(system, J) for J in subs}
+    # per pair (I, J): its coset table, W_J as indices, and whether the
+    # library's residue type of each representative is right, filled as
+    # representatives come up
+    pairs = [(I, J, _coset_minima(system, par_lists[I], par_lists[J]),
+              set(par_lists[J]), {})
              for I in subs for J in subs]
-    left = [(I, minima) for I, J, minima, _, _ in pairs if not J]  # the cosets W_I x
     failures: List[str] = []
     for w in elements:
-        for I, J, minima, W_J, by_conjugation in pairs:
+        for I, J, minima, W_J, verdicts in pairs:
             rep = system.min_double_coset_rep(I, w, J)
             least, ties = minima[w]
             if least is not rep or ties != 1:
                 failures.append("%s double-coset %r %s %r"
                                 % (name, sorted(I), w.word, sorted(J)))
-            found = system.parabolic_intersection(I, rep, J)
-            expected = by_conjugation.get(rep)
-            if expected is None:
-                expected = by_conjugation[rep] = residue_type_by_conjugation(
-                    system, I, rep, W_J)
-            if found != expected:
+            right = verdicts.get(rep)
+            if right is None:
+                right = verdicts[rep] = (system.parabolic_intersection(I, rep, J)
+                                         == residue_type_by_conjugation(
+                                             system, I, rep, W_J))
+            if not right:
                 failures.append("%s residue-type %r %s %r"
                                 % (name, sorted(I), w.word, sorted(J)))
+    # the projection of a pair (c, d) to W_I depends only on c^-1 d: per
+    # element x, the subsets I (in order) whose gate of W_I x is wrong
+    wrong_gates: List[List[List[int]]] = [[] for _ in elements]
+    for I, J, cosets, _, _ in pairs:
+        if not J:  # the cosets W_I x
+            for x in elements:
+                least, ties = cosets[x]
+                if least is not system.min_coset_rep_left(I, x) or ties != 1:
+                    wrong_gates[x.index].append(sorted(I))
     for c in elements:
         row = [system.separating_walls(c, x) for x in elements]
         for d in elements:
@@ -143,13 +166,8 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
                 failures.append("%s separating %s %s" % (name, c, d))
             if system.convex_hull(c, d) != _within(elements, row, walls):
                 failures.append("%s hull %s %s" % (name, c, d))
-            for I, cosets in left:
-                gate = system.min_coset_rep_left(I, x)
-                least, ties = cosets[x]
-                if least is not gate or ties != 1:
-                    failures.append("%s projection %r %s %s"
-                                    % (name, sorted(I), c, d))
-    # each loop body above makes one check of each of its kinds
+            for I in wrong_gates[x.index]:
+                failures.append("%s projection %r %s %s" % (name, I, c, d))
     chambers = len(elements) ** 2
     checks = {"double-coset": len(elements) * len(pairs),
               "residue-type": len(elements) * len(pairs),

@@ -729,6 +729,19 @@ class _WrongA2(CoxeterSystem):
         return super().convex_hull(c, d)
 
 
+class _WrongResidueA2(CoxeterSystem):
+    """A2 whose residue type of the representative e of W_{0} e W_{1} is
+    {0}, where W_{0} meets W_{1} only in e, so the right answer is empty."""
+
+    def __init__(self):
+        super().__init__("A2")
+
+    def parabolic_intersection(self, I, w, J):
+        if (I, w.word, J) == ({0}, (), {1}):
+            return frozenset({0})
+        return super().parabolic_intersection(I, w, J)
+
+
 # -- grids, and the table of rows ------------------------------------------------
 
 
@@ -1084,7 +1097,8 @@ ROWS = {
             lambda s, I, w, J: _ref_residue_type_by_conjugation(s, I, w, set(s.parabolic(J))),
             _weyl_double),
         Row("test_check_system_matches_reference", check_system, _ref_check_system,
-            lambda: [(s,) for s in _weyl_systems()] + [(_WrongA2(),)]),
+            lambda: [(s,) for s in _weyl_systems()]
+            + [(_WrongA2(),), (_WrongResidueA2(),)]),
     ),
     "test_dynamics": (
         Row("test_char_poly_matches_chained_scalars", characteristic_polynomial,

@@ -29,7 +29,7 @@ from buildinglab.cli import (
     parse_config,
     run,
 )
-from buildinglab.building import GroupContext
+from buildinglab.building import _MAX_UNIT_BITS, GroupContext
 
 N = 32
 
@@ -724,14 +724,33 @@ def _exponents(n):
 
 
 @st.composite
+def _group(draw, n):
+    """A group drawn field by field.  Now and then p is 20011, the largest
+    prime the old residue search took, or a prime above it, up to the
+    largest the schema accepts; and now and then precision is one above
+    its bound for p."""
+    p = draw(_mostly(st.sampled_from([3, 5, 7, 2]),
+                     st.sampled_from([20011, 20021, 4294967291])))
+    over = _MAX_UNIT_BITS // p.bit_length() + 1
+    return draw(_fields({"family": st.just("SL"), "n": st.just(n),
+                         "p": st.just(p),
+                         "precision": _mostly(st.integers(1, 64), st.just(over))}))
+
+
+def _over_bound(group):
+    """Whether a drawn group's precision is above its bound for p."""
+    return (type(group) is dict and type(group.get("p")) is int
+            and type(group.get("precision")) is int
+            and group["precision"] * group["p"].bit_length() > _MAX_UNIT_BITS)
+
+
+@st.composite
 def _configs(draw):
     kind = draw(st.sampled_from(KINDS))
     # the rotation subgroup of chabauty lives in SL2
     n = draw(_mostly(st.just(2), st.integers(2, 4)) if kind == "chabauty"
              else st.integers(2, 4))
-    group = _fields({"family": st.just("SL"), "n": st.just(n),
-                     "p": st.sampled_from([3, 5, 7, 2]),
-                     "precision": st.integers(1, 64)})
+    group = _group(n)
     counts = {"count": _count(3), "chambers": _count(3), "max_n": _count(8),
               "steps": _count(3), "targets": _count(3)}
     ints = st.integers(-9, 9)
@@ -793,6 +812,10 @@ def test_main_exit_code_contract_holds_for_any_config(case):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(argv + ["--config", path])
     assert type(code) is int and 0 <= code <= 3
+    groups = data.get("groups")
+    groups = groups if type(groups) is list else [data.get("group")]
+    if "--precision" not in argv and any(map(_over_bound, groups)):
+        assert code == 2
 
 
 def _schema_paths(fields, where=""):

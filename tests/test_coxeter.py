@@ -23,7 +23,7 @@ from buildinglab.coxeter import (
     translation_type,
     weyl_from_permutation,
 )
-from reference import _WrongA2, row_tests
+from reference import _WrongA2, _WrongResidueA2, row_tests
 
 SYSTEMS = ["A1", "A2", "A3", "B2", "C2", "G2"]
 
@@ -196,6 +196,33 @@ def test_shared_enumeration_reports_every_wrong_answer():
         "A2 projection [1] s1*s0 s0*s1",
         "A2 projection [1] s0*s1*s0 s1",
     ]
+
+
+def test_wrong_residue_type_fails_at_every_member_of_its_coset():
+    """A wrong residue type is asked once, for the representative e of
+    W_{0} e W_{1}, and is a failure at each of the coset's four elements
+    e, s0, s1, s0 s1, in element order."""
+    checks, failures = oracles.check_system(_WrongResidueA2())
+    assert checks["residue-type"] == 96
+    assert failures == [
+        "A2 residue-type [0] () [1]",
+        "A2 residue-type [0] (0,) [1]",
+        "A2 residue-type [0] (1,) [1]",
+        "A2 residue-type [0] (0, 1) [1]",
+    ]
+
+
+def test_check_system_asks_each_residue_type_once():
+    asked = []
+
+    class RecordingA3(CoxeterSystem):
+        def parabolic_intersection(self, I, w, J):
+            asked.append((frozenset(I), w, frozenset(J)))
+            return super().parabolic_intersection(I, w, J)
+
+    checks, failures = oracles.check_system(RecordingA3("A3"))
+    assert not failures and asked
+    assert len(set(asked)) == len(asked)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])

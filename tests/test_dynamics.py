@@ -7,6 +7,7 @@ is checked against them.  Characteristic polynomials are checked
 against an integer cofactor oracle that never touches the p-adic code.
 """
 
+import itertools
 import math
 import random
 
@@ -19,7 +20,9 @@ from buildinglab.building import (
     chamber_of,
     opposite,
     parabolic_membership,
+    unipotent_radical_element,
 )
+from buildinglab.cli import PRESETS, parse_config, run
 from buildinglab.dynamics import (
     GateMeasure,
     RamifiedSlopes,
@@ -644,8 +647,6 @@ def test_verify_transit_guards():
 def test_verify_transit_matches_agreement_gates(shift):
     ctx2 = GroupContext(2, 3)
     ctx3 = GroupContext(3, 3)
-    from buildinglab.building import unipotent_radical_element
-
     rng = random.Random(57)
     fams = [
         ([classify(ctx2.diag((n, -n))) for n in range(1, 7)],
@@ -678,8 +679,6 @@ def test_verify_transit_matches_agreement_gates(shift):
 
 def test_verify_transit_sl3_family():
     ctx = GroupContext(3, 3)
-    from buildinglab.building import unipotent_radical_element
-
     certs = [classify(ctx.diag((n, n, -2 * n))) for n in range(1, 7)]
     rng = random.Random(53)
     targets = []
@@ -689,6 +688,53 @@ def test_verify_transit_sl3_family():
     rep = verify_transit(certs, GateMeasure((0, 0, 0), 4), targets)
     assert rep.all_absorbed
     assert all(t.first_n is not None and t.first_n <= 4 for t in rep.targets)
+
+
+def _transit_verdicts(ctx, exponents, steps, radius, targets):
+    """(first_n, cofinal) per target, for the family built as the transit
+    runner builds it."""
+    certs = [classify(ctx.diag(tuple(k * e for e in exponents)))
+             for k in range(1, steps + 1)]
+    rep = verify_transit(certs, GateMeasure((0,) * ctx.n, radius), targets)
+    return [(t.first_n, t.cofinal) for t in rep.targets]
+
+
+def test_verify_transit_invariant_under_permutations():
+    """Conjugating a transit family by a permutation matrix w permutes its
+    exponents and moves every target to w.t; the base vertex (0, ..., 0)
+    is fixed, so each target keeps its first absorbed step and whether
+    absorption is cofinal.  Both transit presets, at seed offsets 0-19,
+    under every non-identity permutation."""
+    cases = 0
+    for name in ("sl2-q3-transit", "sl3-q3-transit"):
+        cfg = PRESETS[name]
+        g, exps, steps, radius = (cfg["group"], cfg["exponents"], cfg["steps"],
+                                  cfg["radius"])
+        ctx = GroupContext(g["n"], g["p"], g["precision"])
+        for offset in range(20):
+            # the targets _run_transit draws, from its seed
+            rng = random.Random(cfg["seed"] + offset)
+            cert = classify(ctx.diag(tuple(exps)))
+            targets = [cert.sigma_minus.translate(
+                unipotent_radical_element(cert.sigma_plus, rng))
+                       for _ in range(cfg["targets"])]
+            want = _transit_verdicts(ctx, exps, steps, radius, targets)
+            if offset == 0:
+                report = run(parse_config(cfg))[1]["result"]
+                assert [(t["first_n"], t["cofinal"])
+                        for t in report["targets"]] == want
+            for sigma in itertools.permutations(range(ctx.n)):
+                if sigma == tuple(range(ctx.n)):
+                    continue
+                w = ctx.perm(sigma)  # e_j -> e_sigma(j)
+                moved = [0] * ctx.n
+                for j, e in enumerate(exps):
+                    moved[sigma[j]] = e
+                got = _transit_verdicts(ctx, moved, steps, radius,
+                                        [t.translate(w) for t in targets])
+                assert got == want, (name, offset, sigma)
+                cases += 1
+    assert cases == 120
 
 
 # -- conjugation boundedness -------------------------------------------------------------
