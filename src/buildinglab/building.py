@@ -61,7 +61,20 @@ random stream, as building every draw and testing its p-adic determinant.
 ``(v, unit, N)`` integers of their entries and subtracts them through
 ``_fold``, with the entries the scalar operators give.  The canonical form
 is a projection, so ``IdealSimplex.translate`` returns a simplex unchanged
-for the shared ``ctx.identity``.
+for the shared ``ctx.identity``.  A chamber translated by an exact
+diagonal ``diag(p**k)`` of its own context (unit 1 and ``N`` equal to the
+working precision on the diagonal, exact zeros off it), the step of every
+boundary orbit, skips the product and the flag when the flag would make
+no row step and no pivot division: ``_diagonal_canon`` re-derives each
+column's floor and pivot row from the shifted valuations and, where the
+earlier pivot rows hold the shared exact zero, the pivot's unit is 1 and
+no entry is more precise than it or than the working precision, builds
+entry (i, j) with its valuation moved by ``k_i`` less the column's floor,
+``ctx.one`` at the pivot and each exact zero passed through.  Those are
+the fields ``_times`` and the flag's raw-field steps give, so the result
+is bit-identical, and in every other case it answers None and the
+product is canonicalised in full, so no row step is made or skipped by
+the shortcut, whatever rule the flag uses to skip one.
 
 Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
 loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
@@ -813,6 +826,110 @@ def _times(col, p: int, shift: int, unit: int, cap: int, pw) -> List[PadicScalar
     return out
 
 
+# the last matrix _diagonal_shifts tested and its answer, replaced whole:
+# holding the matrix keeps its id from being reused by another
+_last_diagonal: Tuple[Optional[Mat], Optional[Tuple[int, ...]]] = (None, None)
+
+
+def _diagonal_shifts(g: Mat) -> Optional[Tuple[int, ...]]:
+    """The exponents k of g when g is exactly ``diag(p**k)``, else None.
+
+    Exactly: each diagonal entry has unit 1, the context's prime and
+    ``N`` equal to the working precision, as ``ctx.diag`` builds it, and
+    every other entry is an exact zero.  A dynamics loop translates by
+    one element over and over, so the answer for the last g is kept.
+    """
+    global _last_diagonal
+    last, shifts = _last_diagonal
+    if last is g:
+        return shifts
+    ctx = g.ctx
+    p, N = ctx.p, ctx.precision
+    shifts = []
+    for i, row in enumerate(g.rows):
+        for j, x in enumerate(row):
+            if i == j:
+                if x.unit != 1 or x.p != p or x.N != N:
+                    break
+                shifts.append(x.v)
+            elif x.unit or x.v is not INF:
+                break
+        else:
+            continue
+        shifts = None
+        break
+    else:
+        shifts = tuple(shifts)
+    _last_diagonal = (g, shifts)
+    return shifts
+
+
+def _diagonal_canon(ctx: GroupContext, canon: Mat, shifts: Sequence[int]) -> Optional[Mat]:
+    """The canonical form of ``diag(p**shifts) * canon`` for a chamber,
+    or None where ``_canonical_flag`` would make a row step, divide by a
+    pivot or raise.
+
+    The product scales row i by ``p**k_i``: each entry's valuation moves
+    by ``k_i``, its ``N`` stays and its unit is reduced modulo ``p**N``,
+    as ``_times`` gives them for entries of the context's prime no more
+    precise than the working precision.  Column by column, the flag of
+    the product then clears the earlier pivot rows, which must hold the
+    shared exact zero, so no row step is made; takes the floor ``f`` of
+    the shifted valuations over the other rows; and picks the first of
+    those rows holding a unit of valuation ``f``, whose unit must be 1
+    and at least as precise as every entry of the column, so no division
+    is made.  Entry (i, j) is then entry (i, j) of canon with its
+    valuation moved by ``k_i - f``, ``ctx.one`` at the pivot, and the
+    shared exact zero passed through; an exact zero that is not the
+    shared one gives None.
+    """
+    n, p, N = ctx.n, ctx.p, ctx.precision
+    zero, one = ctx.zero, ctx.one
+    pw = _powers(p, N)
+    used = [False] * n  # pivot rows of earlier columns
+    cols = []
+    for col in zip(*canon.rows):
+        floor = top = INF  # least valuation over the free rows, over their units
+        pr = None
+        widest = 0  # the largest N in the column after the product
+        for i, x in enumerate(col):
+            if x is zero:
+                continue
+            if used[i] or x.p != p or x.N > N:
+                return None
+            v = x.v + shifts[i]
+            if x.unit:
+                if v < top:
+                    top, pr = v, i
+                if x.N > widest:
+                    widest = x.N
+            elif x.v is INF:
+                return None
+            if v < floor:
+                floor = v
+        if pr is None or top != floor:
+            return None
+        x = col[pr]
+        if x.unit % pw[x.N] != 1 or x.N < widest:
+            return None
+        out = list(col)
+        for i, x in enumerate(col):
+            if x is zero or i == pr:
+                continue
+            u = x.unit
+            if u:
+                u %= pw[x.N]
+                if not u:
+                    return None
+                out[i] = PadicScalar(p, x.v + shifts[i] - floor, u, x.N)
+            else:
+                out[i] = PadicScalar(p, x.v + shifts[i] - floor, 0, 0)
+        out[pr] = one
+        used[pr] = True
+        cols.append(out)
+    return Mat(ctx, zip(*cols))
+
+
 class IdealSimplex:
     """Boundary simplex of the building: a flag, canonically presented."""
 
@@ -842,11 +959,26 @@ class IdealSimplex:
         (``test_canonical_form_is_a_projection``).  The identity product
         cuts an entry finer than the working precision down to it, so a
         representative holding one is translated in full.
+
+        A chamber translated by an exact diagonal ``diag(p**k)`` of its
+        own context (``_diagonal_shifts``) is built without product or
+        elimination by ``_diagonal_canon`` when the flag of the product
+        needs no row step and no pivot division; otherwise, and for every
+        other g, the product is canonicalised in full.  Both give the same
+        fields and the same shared ``ctx.one`` and exact zeros
+        (``test_diagonal_translate_matches_scalar_reference``).
         """
-        N = self.ctx.precision
-        if g is self.ctx.identity and all(
+        ctx = self.ctx
+        N = ctx.precision
+        if g is ctx.identity and all(
                 x.N <= N for row in self.canon.rows for x in row):
             return self
+        if g.ctx is ctx and self.dims == ctx.full_dims:
+            shifts = _diagonal_shifts(g)
+            if shifts is not None:
+                canon = _diagonal_canon(ctx, self.canon, shifts)
+                if canon is not None:
+                    return IdealSimplex(ctx, self.dims, canon)
         return boundary_simplex(g * self.canon, self.dims)
 
     def face(self, sub_dims: Iterable[int]) -> "IdealSimplex":

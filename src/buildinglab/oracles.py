@@ -31,10 +31,9 @@ and elements compare by identity), so a repeated question cannot get
 another answer.  So the residue type of (I, rep, J) is asked once per
 library representative rep, and the projection to W_I x once per element
 x, while every pair of chambers (c, d) with c^-1 d = x counts a check.
-The one exception is the separating walls: the walls from each chamber c
-to every chamber are asked once, as a row from which both the walls
-between c and d and the hull-by-walls predicate at every d are read, and
-the symmetry check asks the walls from d to c again.  Elements compare
+The walls from each chamber c to every chamber are asked once, as a row
+from which the walls between c and d, the hull-by-walls predicate at
+every d and, with row d at c, the symmetry check are read.  Elements compare
 by identity (see ``coxeter.WeylElement``), so a library answer is right
 exactly when it is the oracle's object.
 """
@@ -157,12 +156,13 @@ def check_system(system: CoxeterSystem) -> Tuple[Dict[str, int], List[str]]:
                 least, ties = cosets[x]
                 if least is not system.min_coset_rep_left(I, x) or ties != 1:
                     wrong_gates[x.index].append(sorted(I))
-    for c in elements:
-        row = [system.separating_walls(c, x) for x in elements]
+    # the walls from each chamber c to every chamber, one row per c
+    rows = [[system.separating_walls(c, x) for x in elements] for c in elements]
+    for c, row in zip(elements, rows):
         for d in elements:
             x = c.inverse() * d
             walls = row[d.index]
-            if len(walls) != x.length or walls != system.separating_walls(d, c):
+            if len(walls) != x.length or walls != rows[d.index][c.index]:
                 failures.append("%s separating %s %s" % (name, c, d))
             if system.convex_hull(c, d) != _within(elements, row, walls):
                 failures.append("%s hull %s %s" % (name, c, d))

@@ -934,6 +934,128 @@ def _mixed_prime_flags():
             yield ctx, Mat(ctx, rows), ctx.full_dims
 
 
+def _simplex_fields(ctx, t):
+    """A simplex as the tests see it: whether it and its representative
+    belong to ctx, its type, the raw fields of its representative, and
+    which entries are ctx's shared one and exact zero."""
+    entries = [x for row in t.canon.rows for x in row]
+    return [t.ctx is ctx, t.canon.ctx is ctx, t.dims, raw(t.canon),
+            [x is ctx.one for x in entries], [x is ctx.zero for x in entries]]
+
+
+def _ref_translate(s, g):
+    """g . s as the product and the frozen scalar flag give it, in g's
+    context."""
+    ctx = g.ctx
+    return _simplex_fields(s.ctx, IdealSimplex(
+        ctx, s.dims, _ref_canonical_flag(ctx, g * s.canon, s.dims)))
+
+
+def _orbit(s, g, steps):
+    """s and its translates by g, by the frozen flag, until it raises."""
+    out = [s]
+    for _ in range(steps):
+        try:
+            s = IdealSimplex(s.ctx, s.dims, _ref_canonical_flag(s.ctx, g * s.canon, s.dims))
+        except PrecisionExhausted:
+            break
+        out.append(s)
+    return out
+
+
+def _diagonal_translates():
+    """(s, g): chambers of random and perturbed representatives under
+    random exact diagonals, with a short orbit each, and one simplex of
+    every other type, for n in 2..4, p in 2, 3, 5 and N in 3, 4, 8, 32."""
+    rng = random.Random(61)
+    for n, p, prec in itertools.product((2, 3, 4), (2, 3, 5), (3, 4, 8, 32)):
+        ctx = GroupContext(n, p, prec)
+        for k, g in enumerate(_flag_inputs(ctx, rng, 6)):
+            exps = [rng.randrange(-3, 4) for _ in range(n)]
+            dims = ctx.full_dims if k else all_dims(n)[0]
+            try:
+                s = boundary_simplex(g, dims)
+            except PrecisionExhausted:
+                continue
+            for t in _orbit(s, ctx.diag(exps), 3):
+                yield t, ctx.diag(exps)
+
+
+def _dynamics_orbits():
+    """(s, g): the orbits of random chambers under the elements of the three
+    dynamics presets, as their runs draw them, until the flag gives out."""
+    rng = random.Random(62)
+    for n, exps in ((2, (1, -1)), (3, (1, 0, -1)), (3, (1, 1, -2))):
+        ctx = GroupContext(n, 3, N)
+        g = ctx.diag(exps)
+        for _ in range(3):
+            for s in _orbit(ctx.c_plus.translate(ctx.random_gl_zp(rng)), g, 40):
+                yield s, g
+
+
+def _diagonal_fallbacks():
+    """(s, g) for every case the diagonal shortcut must hand to the full
+    flag, each beside a case it answers."""
+    ctx = GroupContext(3, 3, 8)
+    p, prec = ctx.p, ctx.precision
+    # t keeps its pivots under g, and its units sit off the pivots
+    t = boundary_simplex(ctx.mat([[1, 0, 0], [3, 1, 0], [5, 7, 1]]), ctx.full_dims)
+    g = ctx.diag((-1, 0, 1))
+    out = [(t, g), (t, ctx.identity), (t, ctx.diag((0, 0, 0))), (ctx.c_plus, g)]
+    # an approximate zero at an earlier pivot row, which the flag keeps
+    s = boundary_simplex(ctx.mat([[1, PadicScalar.near_zero(p, 5), 0],
+                                  [0, 1, 0], [2, 4, 1]]), ctx.full_dims)
+    out += [(s, g), (s, ctx.diag((1, 0, -1)))]
+    # pivots that move: with a row step, and without one
+    for rows, exps in (([[1, 0, 0], [3, 1, 0], [0, 0, 1]], (2, 0, -2)),
+                       ([[1, 0, 0], [3, 0, 1], [0, 1, 0]], (2, 0, -2)),
+                       ([[1, 0, 0], [0, 1, 0], [9, 3, 1]], (2, 1, -3))):
+        out.append((boundary_simplex(ctx.mat(rows), ctx.full_dims), ctx.diag(exps)))
+    # a simplex that is no chamber, whose block the shift reorders
+    out.append((boundary_simplex(ctx.mat([[1, 0, 0], [0, 1, 0], [1, 0, 1]]), (2,)),
+                ctx.diag((5, 0, -5))))
+    # a Levi rotation: units other than 1
+    out.append((t, ctx.diag((-1, 0, 1), units=(4, 7, 1))))
+    # a diagonal entry known below, or beyond, the working precision
+    for w in (prec - 1, prec + 1):
+        rows = [list(r) for r in g.rows]
+        rows[2][2] = PadicScalar(p, 1, 1, w)
+        out.append((t, Mat(ctx, rows)))
+    # a diagonal with an approximate zero off the diagonal
+    rows = [list(r) for r in g.rows]
+    rows[0][2] = PadicScalar.near_zero(p, 9)
+    out.append((t, Mat(ctx, rows)))
+    # the diagonal of another context: equal to ctx, and more precise
+    out += [(t, GroupContext(3, p, prec).diag((-1, 0, 1))),
+            (t, GroupContext(3, p, 2 * prec).diag((-1, 0, 1)))]
+    # representatives that no flag gives: an entry beyond the working
+    # precision, a pivot unit other than 1, a pivot less precise than its
+    # column, and every entry beyond the working precision
+    base = [list(r) for r in t.canon.rows]
+    for i, j, x in ((2, 0, PadicScalar(p, 1, 5, prec + 2)),
+                    (0, 0, PadicScalar(p, 0, 2, prec)),
+                    (1, 1, PadicScalar(p, 0, 1, 4))):
+        rows = [list(r) for r in base]
+        rows[i][j] = x
+        out.append((IdealSimplex(ctx, t.dims, Mat(ctx, rows)), g))
+    rows = GroupContext(3, p, prec + 2).mat([[1, 0, 0], [3, 1, 0], [5, 7, 1]]).rows
+    out.append((IdealSimplex(ctx, t.dims, Mat(ctx, rows)), g))
+    # mixed primes: an element of another prime, an entry of another prime
+    out.append((t, GroupContext(3, 5, prec).diag((-1, 0, 1))))
+    rows = [list(r) for r in base]
+    rows[2][1] = PadicScalar(5, 1, 2, prec)
+    out.append((IdealSimplex(ctx, t.dims, Mat(ctx, rows)), g))
+    # degenerate columns: all approximate zeros, and an approximate zero
+    # that the shift takes below every unit of its column
+    for col, exps in (([PadicScalar.near_zero(p, 3)] * 3, (1, 0, -1)),
+                      ([ctx.zero, PadicScalar.near_zero(p, 2), ctx.one], (0, -3, 0))):
+        rows = [list(r) for r in ctx.identity.rows]
+        for i in range(3):
+            rows[i][1] = col[i]
+        out.append((IdealSimplex(ctx, ctx.full_dims, Mat(ctx, rows)), ctx.diag(exps)))
+    return out
+
+
 def _structured(ctx, rng):
     sigma = list(range(ctx.n))
     rng.shuffle(sigma)
@@ -1064,6 +1186,9 @@ ROWS = {
         Row("test_degenerate_flags_raise_in_both_kernels", *_flag, _degenerate_chambers),
         Row("test_canonical_flag_mixed_primes_raise_in_both_kernels",
             *_flag, _mixed_prime_flags),
+        Row("test_diagonal_translate_matches_scalar_reference",
+            lambda s, g: _simplex_fields(s.ctx, s.translate(g)), _ref_translate,
+            _chain(_diagonal_translates, _dynamics_orbits, _diagonal_fallbacks)),
         Row("test_structured_factors_match_the_products",
             lambda ctx, sigma, exps: (ctx.diag(exps), ctx.monomial(sigma, exps)),
             lambda ctx, sigma, exps: (_ref_diag(ctx, exps),

@@ -27,6 +27,7 @@ from buildinglab.building import (
     unipotent_radical_element,
     weyl_distance,
 )
+from buildinglab import building
 from buildinglab.building import Mat, _canonical_flag, _echelon_rows, _int_det
 from buildinglab.cli import mild_element
 from buildinglab.dynamics import _radius, agreement_gate
@@ -36,6 +37,7 @@ from reference import (
     ALL_CTX,
     DECOMP_CTX,
     N,
+    ROWS,
     absolute_precision,
     all_dims,
     decomposition_inputs,
@@ -43,6 +45,7 @@ from reference import (
     draws,
     finer_than_its_pivot,
     flags,
+    observe,
     raw,
     row_tests,
 )
@@ -52,6 +55,30 @@ CTX2, CTX3 = ALL_CTX[:2]
 # Each live kernel against its frozen reference in tests/reference.py: one
 # test per row, named by the row.
 globals().update(row_tests("test_building"))
+
+
+def test_diagonal_translate_grid_answers_and_falls_back(monkeypatch):
+    """The grid of the diagonal translate's row reaches both the shortcut's
+    own answer and its hand-over to the full flag."""
+    answers = []
+    real = building._diagonal_canon
+
+    def recorded(*args):
+        canon = real(*args)
+        answers.append(canon is not None)
+        return canon
+
+    monkeypatch.setattr(building, "_diagonal_canon", recorded)
+    (row,) = [r for r in ROWS["test_building"]
+              if r.name == "test_diagonal_translate_matches_scalar_reference"]
+    for s, g in row.grid():
+        observe(s.translate, g)
+    assert answers.count(True) and answers.count(False)
+    # an exact zero other than the shared one, which no flag makes, is
+    # handed over as well
+    rows = [list(r) for r in CTX3.identity.rows]
+    rows[1][0] = PadicScalar(3, INF, 0, 0)
+    assert real(CTX3, Mat(CTX3, rows), (0, 0, 0)) is None
 
 
 def agree(a, b, depth):

@@ -29,7 +29,9 @@ from buildinglab.cli import (
     parse_config,
     run,
 )
+from buildinglab import building
 from buildinglab.building import _MAX_UNIT_BITS, GroupContext
+from buildinglab.padic import PrecisionExhausted
 
 N = 32
 
@@ -356,6 +358,30 @@ def test_preset_hash_matches_reference(preset):
         sort_keys=True).encode()).hexdigest()
 
 
+@pytest.mark.parametrize("workload", sorted(_SPEC.WORKLOADS))
+def test_traced_benchmark_sample_reaches_every_pinned_layer(workload):
+    # one traced sample as the benchmark takes it, in a fresh interpreter
+    # that writes no byte code: every exact per-layer figure the benchmark
+    # requires to be nonzero on the workload is nonzero, and every preset
+    # reproduces its reference hash
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-B", str(root / "perfbench" / "worker.py"),
+         "--workload", workload, "--seed", "0", "--trace"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    sample = json.loads(done.stdout.splitlines()[-1])
+    pinned = [name for name, (unit, nonzero_on) in _SPEC.PER_LAYER.items()
+              if unit in ("count", "calls/chamber") and workload in nonzero_on]
+    assert pinned
+    assert [name for name in pinned if not sample["layers"][name] > 0] == []
+    presets = sample["presets"]
+    assert sorted(presets) == sorted(_SPEC.WORKLOADS[workload])
+    for name, seen in presets.items():
+        assert seen["code"] == 0 and seen["hash"].startswith(REFERENCE_HASHES[name])
+
+
 def _assert_outcome_is_tallied(code, body):
     """The report's outcome counts records as the benchmark does."""
     outcome = body["meta"]["outcome"]
@@ -373,6 +399,29 @@ def test_dynamics_outcome_at_offset_502():
         "attempted": 50, "refuted": 1,
         "reason": "index=26 status=no-convergence"}
     _assert_outcome_is_tallied(code, body)
+
+
+def test_dynamics_runs_out_of_digits_at_offset_7(monkeypatch):
+    # an iterate of limit_boundary, a chamber translated by the diagonal
+    # element, has a degenerate flag: the diagonal shortcut hands it to
+    # the full flag, which raises
+    answers = []
+    real = building._diagonal_canon
+
+    def recorded(*args):
+        canon = real(*args)
+        answers.append(canon is not None)
+        return canon
+
+    monkeypatch.setattr(building, "_diagonal_canon", recorded)
+    preset = PRESETS["sl3-q3-dynamics"]
+    with pytest.raises(PrecisionExhausted) as raised:
+        run(parse_config(dict(preset, seed=preset["seed"] + 7)))
+    assert str(raised.value) == "flag degenerate within working precision"
+    frames = [entry.name for entry in raised.traceback]
+    assert frames[-4:] == ["limit_boundary", "translate", "boundary_simplex",
+                           "_canonical_flag"]
+    assert answers[-1] is False and True in answers
 
 
 def _with(preset, **fields):

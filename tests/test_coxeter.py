@@ -225,6 +225,21 @@ def test_check_system_asks_each_residue_type_once():
     assert len(set(asked)) == len(asked)
 
 
+def test_check_system_asks_the_walls_of_each_pair_once():
+    asked = []
+
+    class RecordingA3(CoxeterSystem):
+        def separating_walls(self, c, d):
+            asked.append((c, d))
+            return super().separating_walls(c, d)
+
+    system = RecordingA3("A3")
+    checks, failures = oracles.check_system(system)
+    assert not failures
+    assert sorted(asked, key=lambda cd: (cd[0].index, cd[1].index)) == [
+        (c, d) for c in system.elements() for d in system.elements()]
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
 def test_residue_gate(name):
     sys = get_system(name)

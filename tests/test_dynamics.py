@@ -581,7 +581,8 @@ def test_limit_boundary_trace_matches_agreement_gates(base):
 def test_limit_boundary_step_flag_count(monkeypatch, branch, base, per_step):
     # one translate by the element and one recentring per extra step, and
     # recentring at the origin is free; the predicted limit is recentred
-    # once per call, not once per step
+    # once per call, not once per step.  A translate is one flag, or one
+    # diagonal translate that _diagonal_canon answers without a flag
     ctx = GroupContext(3, 3)
     if branch == "satisfied":
         cert = classify(ctx.diag((1, 0, -1)))
@@ -598,7 +599,16 @@ def test_limit_boundary_step_flag_count(monkeypatch, branch, base, per_step):
         calls.append(1)
         return real(*args)
 
+    real_diagonal = building._diagonal_canon
+
+    def answered(*args):
+        canon = real_diagonal(*args)
+        if canon is not None:
+            calls.append(1)
+        return canon
+
     monkeypatch.setattr(building, "boundary_simplex", counted)
+    monkeypatch.setattr(building, "_diagonal_canon", answered)
     counts = []
     for max_n in (3, 4, 5):
         calls.clear()
