@@ -62,19 +62,10 @@ random stream, as building every draw and testing its p-adic determinant.
 ``_fold``, with the entries the scalar operators give.  The canonical form
 is a projection, so ``IdealSimplex.translate`` returns a simplex unchanged
 for the shared ``ctx.identity``.  A chamber translated by an exact
-diagonal ``diag(p**k)`` of its own context (unit 1 and ``N`` equal to the
-working precision on the diagonal, exact zeros off it), the step of every
-boundary orbit, skips the product and the flag when the flag would make
-no row step and no pivot division: ``_diagonal_canon`` re-derives each
-column's floor and pivot row from the shifted valuations and, where the
-earlier pivot rows hold the shared exact zero, the pivot's unit is 1 and
-no entry is more precise than it or than the working precision, builds
-entry (i, j) with its valuation moved by ``k_i`` less the column's floor,
-``ctx.one`` at the pivot and each exact zero passed through.  Those are
-the fields ``_times`` and the flag's raw-field steps give, so the result
-is bit-identical, and in every other case it answers None and the
-product is canonicalised in full, so no row step is made or skipped by
-the shortcut, whatever rule the flag uses to skip one.
+diagonal of its own context, as ``GroupContext.diag`` builds it without
+units, the step of every boundary orbit, skips the product and the flag
+where ``_diagonal_canon`` finds that the flag would make no row step and
+no pivot division, with a bit-identical result.
 
 Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
 loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
@@ -140,13 +131,18 @@ class NotOpposite(ValueError):
 
 
 class Mat:
-    """Immutable n x n matrix over Q_p at finite precision."""
+    """Immutable n x n matrix over Q_p at finite precision.
 
-    __slots__ = ("ctx", "rows")
+    ``_shifts`` holds the exponents k of a matrix that ``GroupContext.diag``
+    built as exactly ``diag(p**k)``, and None on every other matrix.
+    """
+
+    __slots__ = ("ctx", "rows", "_shifts")
 
     def __init__(self, ctx: "GroupContext", rows: Sequence[Sequence[PadicScalar]]):
         self.ctx = ctx
         self.rows: Tuple[Tuple[PadicScalar, ...], ...] = tuple(map(tuple, rows))
+        self._shifts: Optional[Tuple[int, ...]] = None
 
     @property
     def n(self) -> int:
@@ -206,8 +202,15 @@ class Mat:
         return _det(self.rows)
 
     def inv(self) -> "Mat":
-        """Gauss-Jordan on [g | I] with smallest-valuation pivoting."""
+        """Gauss-Jordan on [g | I] with smallest-valuation pivoting.
+
+        The inverse of ``ctx.diag(k)`` without units is ``ctx.diag(-k)``,
+        fields and shared exact zeros as the elimination gives them, and is
+        built directly.
+        """
         n, ctx = self.n, self.ctx
+        if self._shifts is not None:
+            return ctx.diag([-k for k in self._shifts])
         aug = [row + tuple(ctx.one if i == j else ctx.zero for j in range(n))
                for i, row in enumerate(self.rows)]
         R, pivots = _echelon_rows(ctx, aug)
@@ -540,6 +543,10 @@ class GroupContext:
         return Mat(self, rows)
 
     def diag(self, exps: Sequence[int], units: Optional[Sequence[int]] = None) -> Mat:
+        """``diag(units[i] * p**exps[i])``.  Without units it is exactly
+        ``diag(p**exps)``, unit 1 at the working precision, and keeps its
+        exponents in ``_shifts``: a chamber translated by it may skip the
+        product and the flag (``IdealSimplex.translate``)."""
         n, p, N = self.n, self.p, self.precision
         rows = [[self.zero for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -547,7 +554,10 @@ class GroupContext:
                 rows[i][i] = PadicScalar(p, exps[i], 1, N)
             else:
                 rows[i][i] = PadicScalar.from_int(units[i], p, N).shift(exps[i])
-        return Mat(self, rows)
+        m = Mat(self, rows)
+        if units is None:
+            m._shifts = tuple(exps[i] for i in range(n))
+        return m
 
     def perm(self, sigma: Sequence[int]) -> Mat:
         """Permutation matrix sending e_j to e_{sigma(j)}."""
@@ -826,48 +836,10 @@ def _times(col, p: int, shift: int, unit: int, cap: int, pw) -> List[PadicScalar
     return out
 
 
-# the last matrix _diagonal_shifts tested and its answer, replaced whole:
-# holding the matrix keeps its id from being reused by another
-_last_diagonal: Tuple[Optional[Mat], Optional[Tuple[int, ...]]] = (None, None)
-
-
-def _diagonal_shifts(g: Mat) -> Optional[Tuple[int, ...]]:
-    """The exponents k of g when g is exactly ``diag(p**k)``, else None.
-
-    Exactly: each diagonal entry has unit 1, the context's prime and
-    ``N`` equal to the working precision, as ``ctx.diag`` builds it, and
-    every other entry is an exact zero.  A dynamics loop translates by
-    one element over and over, so the answer for the last g is kept.
-    """
-    global _last_diagonal
-    last, shifts = _last_diagonal
-    if last is g:
-        return shifts
-    ctx = g.ctx
-    p, N = ctx.p, ctx.precision
-    shifts = []
-    for i, row in enumerate(g.rows):
-        for j, x in enumerate(row):
-            if i == j:
-                if x.unit != 1 or x.p != p or x.N != N:
-                    break
-                shifts.append(x.v)
-            elif x.unit or x.v is not INF:
-                break
-        else:
-            continue
-        shifts = None
-        break
-    else:
-        shifts = tuple(shifts)
-    _last_diagonal = (g, shifts)
-    return shifts
-
-
 def _diagonal_canon(ctx: GroupContext, canon: Mat, shifts: Sequence[int]) -> Optional[Mat]:
     """The canonical form of ``diag(p**shifts) * canon`` for a chamber,
-    or None where ``_canonical_flag`` would make a row step, divide by a
-    pivot or raise.
+    the diagonal exact as ``ctx.diag`` builds it, or None where
+    ``_canonical_flag`` would make a row step, divide by a pivot or raise.
 
     The product scales row i by ``p**k_i``: each entry's valuation moves
     by ``k_i``, its ``N`` stays and its unit is reduced modulo ``p**N``,
@@ -960,12 +932,12 @@ class IdealSimplex:
         cuts an entry finer than the working precision down to it, so a
         representative holding one is translated in full.
 
-        A chamber translated by an exact diagonal ``diag(p**k)`` of its
-        own context (``_diagonal_shifts``) is built without product or
-        elimination by ``_diagonal_canon`` when the flag of the product
-        needs no row step and no pivot division; otherwise, and for every
-        other g, the product is canonicalised in full.  Both give the same
-        fields and the same shared ``ctx.one`` and exact zeros
+        A chamber translated by ``diag(p**k)`` of its own context, as
+        ``ctx.diag`` builds it without units or ``Mat.inv`` inverts that
+        (both keep k in ``g._shifts``), is built by ``_diagonal_canon``
+        where it answers; otherwise, and for every other g, the product is
+        canonicalised in full.  Both give the same fields and the same
+        shared ``ctx.one`` and exact zeros
         (``test_diagonal_translate_matches_scalar_reference``).
         """
         ctx = self.ctx
@@ -973,12 +945,10 @@ class IdealSimplex:
         if g is ctx.identity and all(
                 x.N <= N for row in self.canon.rows for x in row):
             return self
-        if g.ctx is ctx and self.dims == ctx.full_dims:
-            shifts = _diagonal_shifts(g)
-            if shifts is not None:
-                canon = _diagonal_canon(ctx, self.canon, shifts)
-                if canon is not None:
-                    return IdealSimplex(ctx, self.dims, canon)
+        if g._shifts is not None and g.ctx is ctx and self.dims == ctx.full_dims:
+            canon = _diagonal_canon(ctx, self.canon, g._shifts)
+            if canon is not None:
+                return IdealSimplex(ctx, self.dims, canon)
         return boundary_simplex(g * self.canon, self.dims)
 
     def face(self, sub_dims: Iterable[int]) -> "IdealSimplex":

@@ -1002,6 +1002,10 @@ def _diagonal_fallbacks():
     t = boundary_simplex(ctx.mat([[1, 0, 0], [3, 1, 0], [5, 7, 1]]), ctx.full_dims)
     g = ctx.diag((-1, 0, 1))
     out = [(t, g), (t, ctx.identity), (t, ctx.diag((0, 0, 0))), (ctx.c_plus, g)]
+    # the inverse of ctx.diag, which keeps its exponents, and the same
+    # diagonal as ctx.mat builds it or with units 1, which keep none
+    out += [(t, ctx.diag((1, 0, -1)).inv()), (t, ctx.mat(g.rows)),
+            (t, ctx.diag((-1, 0, 1), units=(1, 1, 1)))]
     # an approximate zero at an earlier pivot row, which the flag keeps
     s = boundary_simplex(ctx.mat([[1, PadicScalar.near_zero(p, 5), 0],
                                   [0, 1, 0], [2, 4, 1]]), ctx.full_dims)
@@ -1054,6 +1058,22 @@ def _diagonal_fallbacks():
             rows[i][1] = col[i]
         out.append((IdealSimplex(ctx, ctx.full_dims, Mat(ctx, rows)), ctx.diag(exps)))
     return out
+
+
+def _diagonals():
+    """(g,): exact diagonals ctx.diag(k), with zero, small and large
+    exponents, for n in 2..4, p in 2, 3, 5, 7 and N in 1, 3, 8, 32."""
+    rng = random.Random(63)
+    for n, p, prec in itertools.product((2, 3, 4), (2, 3, 5, 7), (1, 3, 8, 32)):
+        ctx = GroupContext(n, p, prec)
+        yield ctx.diag([0] * n),
+        for bound in (3, 3, 40):
+            yield ctx.diag([rng.randrange(-bound, bound + 1) for _ in range(n)]),
+
+
+def _with_shared_zero(m):
+    """The raw fields of m and which of its entries are the shared exact zero."""
+    return [m, [x is m.ctx.zero for row in m.rows for x in row]]
 
 
 def _structured(ctx, rng):
@@ -1189,6 +1209,9 @@ ROWS = {
         Row("test_diagonal_translate_matches_scalar_reference",
             lambda s, g: _simplex_fields(s.ctx, s.translate(g)), _ref_translate,
             _chain(_diagonal_translates, _dynamics_orbits, _diagonal_fallbacks)),
+        Row("test_diagonal_inverse_matches_elimination",
+            lambda g: _with_shared_zero(g.inv()),
+            lambda g: _with_shared_zero(Mat(g.ctx, g.rows).inv()), _diagonals),
         Row("test_structured_factors_match_the_products",
             lambda ctx, sigma, exps: (ctx.diag(exps), ctx.monomial(sigma, exps)),
             lambda ctx, sigma, exps: (_ref_diag(ctx, exps),

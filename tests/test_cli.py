@@ -424,6 +424,34 @@ def test_dynamics_runs_out_of_digits_at_offset_7(monkeypatch):
     assert answers[-1] is False and True in answers
 
 
+# (answers, hand-overs) of the diagonal shortcut at each preset's own seed.
+# 6 of the 20 targets sl2-q3-transit draws have a unipotent radical element
+# that is exactly the identity; it is a computed product, which carries no
+# exponents, so translating by it takes the full flag.
+_DIAGONAL_TRAFFIC = {
+    "sl2-q3-dynamics": (690, 28),
+    "sl3-q3-dynamics": (1416, 72),
+    "sl3-q3-wall-dynamics": (503, 40),
+    "sl2-q3-transit": (160, 0),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_DIAGONAL_TRAFFIC))
+def test_diagonal_shortcut_traffic_at_seed_0(monkeypatch, preset):
+    answers = []
+    real = building._diagonal_canon
+
+    def recorded(*args):
+        canon = real(*args)
+        answers.append(canon is not None)
+        return canon
+
+    monkeypatch.setattr(building, "_diagonal_canon", recorded)
+    code, _ = run(parse_config(dict(PRESETS[preset])))
+    assert code == 0
+    assert (answers.count(True), answers.count(False)) == _DIAGONAL_TRAFFIC[preset]
+
+
 def _with(preset, **fields):
     """A preset with some of its object fields updated."""
     data = dict(PRESETS[preset])

@@ -168,6 +168,17 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def test_no_global_statement_in_the_package():
+    """No function of the package rebinds a module global, so no answer
+    is kept from one call to the next and values can be shared freely
+    across threads, as padic.py promises."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(_REPO.glob("src/buildinglab/*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
+
+
 # -- reach guards --------------------------------------------------------------
 # Both match by name: `x.agreement` reaches every method called `agreement`,
 # and `f(a, depth=1)` passes `depth` to every callable called `f`.  A method
