@@ -61,7 +61,8 @@ random stream, as building every draw and testing its p-adic determinant.
 ``(v, unit, N)`` integers of their entries and subtracts them through
 ``_fold``, with the entries the scalar operators give.  The canonical form
 is a projection, so ``IdealSimplex.translate`` returns a simplex unchanged
-for the shared ``ctx.identity``.  A chamber translated by an exact
+for the shared ``ctx.identity``, and ``IdealSimplex.face`` for the
+simplex's own dimensions.  A chamber translated by an exact
 diagonal of its own context, as ``GroupContext.diag`` builds it without
 units, the step of every boundary orbit, skips the product and the flag
 where ``_diagonal_canon`` finds that the flag would make no row step and
@@ -941,9 +942,7 @@ class IdealSimplex:
         (``test_diagonal_translate_matches_scalar_reference``).
         """
         ctx = self.ctx
-        N = ctx.precision
-        if g is ctx.identity and all(
-                x.N <= N for row in self.canon.rows for x in row):
+        if g is ctx.identity and self._within_precision():
             return self
         if g._shifts is not None and g.ctx is ctx and self.dims == ctx.full_dims:
             canon = _diagonal_canon(ctx, self.canon, g._shifts)
@@ -951,10 +950,21 @@ class IdealSimplex:
                 return IdealSimplex(ctx, self.dims, canon)
         return boundary_simplex(g * self.canon, self.dims)
 
+    def _within_precision(self) -> bool:
+        """No entry of the representative is finer than the working precision."""
+        N = self.ctx.precision
+        return all(x.N <= N for row in self.canon.rows for x in row)
+
     def face(self, sub_dims: Iterable[int]) -> "IdealSimplex":
+        """The face of the given flag dimensions; the simplex itself for
+        its own dimensions, by the projection property that ``translate``
+        uses for the identity, unless an entry is finer than the working
+        precision."""
         sub = tuple(sorted(sub_dims))
         if not set(sub) <= set(self.dims):
             raise ValueError("face dimensions must refine the simplex")
+        if sub == self.dims and self._within_precision():
+            return self
         return boundary_simplex(self.canon, sub)
 
     def agreement(self, other: "IdealSimplex"):
@@ -1247,13 +1257,18 @@ def project_to_star(s: IdealSimplex, d: IdealSimplex) -> IdealSimplex:
 
 
 def unipotent_radical_element(s: IdealSimplex, rng: random.Random) -> Mat:
-    """Random element of the unipotent radical of the simplex stabilizer."""
+    """Random element of the unipotent radical of the simplex stabilizer.
+
+    When no entry is drawn the element is the shared ``ctx.identity``,
+    after the same draws from rng, and no conjugation is computed.
+    """
     ctx = s.ctx
     n = ctx.n
     cuts = [0, *s.dims, n]
     rows = [
         [ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)
     ]
+    drawn = False
     for b in range(len(cuts) - 1):
         hi = cuts[b + 1]
         lo = cuts[b]
@@ -1261,5 +1276,8 @@ def unipotent_radical_element(s: IdealSimplex, rng: random.Random) -> Mat:
             for j in range(hi, n):
                 if rng.random() < 0.75:
                     rows[i][j] = ctx.random_unit(rng).shift(rng.randrange(0, 4))
+                    drawn = True
+    if not drawn:
+        return ctx.identity
     M = s.canon
     return M * Mat(ctx, rows) * M.inv()

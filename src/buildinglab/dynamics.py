@@ -24,7 +24,20 @@ origin is free: there ``_centre`` returns the shared ``ctx.identity``,
 which ``IdealSimplex.translate`` maps to the simplex itself, so at base
 ``(0, ..., 0)`` no recentring computes a flag.  ``assumption_check``
 moves the gate face into frame coordinates once for both the
-block-splitting test and the stable refinement.  Sums of products
+block-splitting test and the stable refinement.
+
+A strongly regular certificate (empty wall type) whose repelling simplex
+is a coordinate chamber, every entry of its representative the shared
+``ctx.one`` or exact zero, as ``classify`` builds it for every regular
+diagonal element, answers the hypothesis for a chamber itself: the star
+of a chamber is that chamber alone, so the projection of every chamber
+is the repelling one, which the element fixes.  ``assumption_check``
+then returns it as core and witness, and ``limit_boundary`` retracts onto
+the certificate's frame, which carries ``c_plus`` to the attracting
+chamber and ``c_minus`` to the repelling one.  A certificate with a wall
+type, or whose repelling simplex is no coordinate chamber, as a frame the
+caller supplies generally gives, takes the full projection and apartment
+search.  Sums of products
 (polynomial coefficients, column combinations) are one call each to the
 raw kernel ``padic._fold``.
 """
@@ -513,6 +526,15 @@ class AssumptionReport(_Record):
     min_rep_word: Tuple[int, ...]
 
 
+def _coordinate_chamber(cert: HyperbolicCertificate, beta: IdealSimplex) -> bool:
+    """Is beta a chamber and cert regular with a coordinate chamber as its
+    repelling simplex, every entry the shared ``ctx.one`` or exact zero?"""
+    sm = cert.sigma_minus
+    one, zero = sm.ctx.one, sm.ctx.zero
+    return beta.is_chamber() and cert.is_regular() and all(
+        x is one or x is zero for row in sm.canon.rows for x in row)
+
+
 def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> AssumptionReport:
     """Does the projection of beta's residue reach the axis boundary?
 
@@ -521,9 +543,19 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
     coset representative, and tests its core face for being both
     block-adapted in the eigenframe and stabilized by the element.
     Requires a certificate with a frame.
+
+    For a chamber beta and a regular certificate whose repelling simplex
+    is a coordinate chamber (``_coordinate_chamber``) the answer is read
+    off the certificate: that simplex is a chamber, its star is itself,
+    and the element fixes it, so it is core and witness, the residue
+    types are empty and the double-coset reduction leaves the Weyl
+    distance from it to beta as it is.
     """
     if cert.frame is None:
         raise ValueError("hypothesis check needs an eigenframe certificate")
+    if _coordinate_chamber(cert, beta):
+        sm = cert.sigma_minus
+        return AssumptionReport(True, sm, sm, frozenset(), weyl_distance(sm, beta).word)
     ctx = beta.ctx
     depth = ctx.precision - 8
     c0 = chamber_of(beta)
@@ -559,6 +591,36 @@ class LimitReport(_Record):
     hypothesis: AssumptionReport
 
 
+def _apartment_retraction(
+    cert: HyperbolicCertificate,
+    witness: IdealSimplex,
+    xi: IdealSimplex,
+    rng: random.Random,
+) -> IdealSimplex:
+    """Retraction of xi onto an apartment through the attracting simplex
+    and the witness chamber, centred at the witness.
+
+    The first chamber tried is the one the attracting simplex's
+    representative spans; up to 11 more chambers through that simplex
+    are drawn from rng.
+    """
+    ctx = xi.ctx
+    for attempt in range(12):
+        if attempt == 0:
+            E = chamber_of(cert.sigma_plus)
+        else:
+            q = ctx.random_parabolic_element(
+                rng, cert.sigma_plus.dims, integral=True
+            )
+            E = boundary_simplex(cert.sigma_plus.canon * q, ctx.full_dims)
+        if opposite(E, witness):
+            frame = big_cell_frame(E, witness)
+            return retraction(frame, ctx.weyl.longest_element(), xi)
+    raise PrecisionExhausted(
+        "no apartment through the attracting simplex and the witness"
+    )
+
+
 def limit_boundary(
     cert: HyperbolicCertificate,
     xi: IdealSimplex,
@@ -577,7 +639,12 @@ def limit_boundary(
     gate per consecutive step, and reported without a limit; rotation
     near the repelling simplex shows up there as a stalling trace.
     The hypothesis check runs once per call, also for a start chamber
-    the element fixes, and its report is the `hypothesis` field.
+    the element fixes, and its report is the `hypothesis` field.  When
+    its witness is the certificate's repelling chamber itself (the
+    regular coordinate case of ``assumption_check``), the certificate's
+    frame already spans the apartment through both endpoint chambers and
+    is the retraction frame; the apartment search, whose first attempt
+    would succeed without a draw from rng, is skipped.
     A gate target below 1 certifies nothing and raises ValueError.
     """
     ctx = xi.ctx
@@ -624,23 +691,10 @@ def limit_boundary(
         )
 
     witness = report.witness
-    eta = None
-    for attempt in range(12):
-        if attempt == 0:
-            E = chamber_of(cert.sigma_plus)
-        else:
-            q = ctx.random_parabolic_element(
-                rng, cert.sigma_plus.dims, integral=True
-            )
-            E = boundary_simplex(cert.sigma_plus.canon * q, ctx.full_dims)
-        if opposite(E, witness):
-            frame = big_cell_frame(E, witness)
-            eta = retraction(frame, ctx.weyl.longest_element(), xi)
-            break
-    if eta is None:
-        raise PrecisionExhausted(
-            "no apartment through the attracting simplex and the witness"
-        )
+    if witness is cert.sigma_minus:
+        eta = retraction(cert.frame, ctx.weyl.longest_element(), xi)
+    else:
+        eta = _apartment_retraction(cert, witness, xi, rng)
 
     x0 = xi.translate(T)
     eta_c = eta.translate(T)

@@ -38,7 +38,13 @@ from buildinglab.building import (
     _swap_rows,
 )
 from buildinglab.coxeter import CARTAN, CoxeterSystem, WeylElement, get_system
-from buildinglab.dynamics import _radius, characteristic_polynomial
+from buildinglab.dynamics import (
+    HyperbolicCertificate,
+    _radius,
+    characteristic_polynomial,
+    classify,
+    limit_boundary,
+)
 from buildinglab.oracles import (
     _indices,
     _within,
@@ -428,6 +434,23 @@ def _ref_random_unipotent(ctx, rng, upper, min_val=-2):
             if keep and rng.random() < 0.8:
                 rows[i][j] = _ref_random_unit(ctx, rng).shift(rng.randrange(min_val, 4))
     return ctx.mat(rows)
+
+
+def ref_unipotent_radical_element(s, rng):
+    """The radical element as it was built before an undrawn one became
+    ``ctx.identity``: (whether an entry was drawn, M * U * M**-1)."""
+    ctx, n = s.ctx, s.ctx.n
+    cuts = [0, *s.dims, n]
+    rows = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    drawn = False
+    for lo, hi in zip(cuts, cuts[1:]):
+        for i in range(lo, hi):
+            for j in range(hi, n):
+                if rng.random() < 0.75:
+                    rows[i][j] = ctx.random_unit(rng).shift(rng.randrange(0, 4))
+                    drawn = True
+    M = s.canon
+    return drawn, M * Mat(ctx, rows) * M.inv()
 
 
 # The canonical flag as it was on scalar operators, before the raw-integer
@@ -1116,6 +1139,82 @@ def _radius_pairs(ctx, rng):
             (flat, _perturbed(ctx, flat, rng)), (flat, flat)]
 
 
+def full_path(fn, *args):
+    """fn(*args) with every certificate taken for one of a wall type, which
+    sends assumption_check and limit_boundary down their full path."""
+    regular = HyperbolicCertificate.is_regular
+    HyperbolicCertificate.is_regular = lambda cert: False
+    try:
+        return fn(*args)
+    finally:
+        HyperbolicCertificate.is_regular = regular
+
+
+def holds_approximate_zero(s):
+    """Does the representative of s hold a zero that is not exact?"""
+    return any(x.unit == 0 and x.v is not INF for row in s.canon.rows for x in row)
+
+
+def _within_claimed_digits(s, t):
+    """Does every entry of s agree with t's on every digit t claims?"""
+    return all((x - y).val_floor() >= absolute_precision(y)
+               for a, b in zip(s.canon.rows, t.canon.rows) for x, y in zip(a, b))
+
+
+def _regular_limits():
+    """(cert, xi, seed): chambers drawn by random_gl_zp, random_element and
+    random_iwahori under two regular diagonal elements each, for n in 2..4,
+    p in 2, 3, 5 and N in 1, 2, 3, 4, 8, 32; and beside them, for n = 3,
+    a wall certificate and a regular certificate in a frame the caller
+    supplied."""
+    rng = random.Random(64)
+    exps = {2: ((1, -1), (-2, 1)), 3: ((1, 0, -1), (0, -2, 1)),
+            4: ((2, 1, 0, -3), (-1, 3, 0, -2))}
+    for n, p, prec in itertools.product((2, 3, 4), (2, 3, 5), (1, 2, 3, 4, 8, 32)):
+        ctx = GroupContext(n, p, prec)
+        certs = [classify(ctx.diag(k)) for k in exps[n]]
+        if n == 3 and prec >= 8:
+            h = ctx.random_gl_zp(rng)
+            certs += [classify(ctx.diag((1, 1, -2))),
+                      classify(h * ctx.diag(exps[n][0]) * h.inv(), h)]
+        for cert in certs:
+            for draw in (ctx.random_gl_zp, ctx.random_element, ctx.random_iwahori):
+                for _ in range(2):
+                    try:
+                        xi = boundary_simplex(draw(rng), ctx.full_dims)
+                    except PrecisionExhausted:
+                        continue
+                    yield cert, xi, rng.randrange(1000)
+
+
+def _limit_view(cert, rep, rng):
+    """Every field of a limit report and its hypothesis, simplices by
+    _simplex_fields, and the state of the rng the call drew from.  A
+    witness holding an approximate zero is seen as the repelling chamber
+    when that agrees with witness and core on every digit they claim."""
+    h, sm = rep.hypothesis, cert.sigma_minus
+    witness, core = h.witness, h.core
+    if (witness is not None and holds_approximate_zero(witness)
+            and _within_claimed_digits(sm, witness) and _within_claimed_digits(sm, core)):
+        witness = core = sm
+    simplices = (rep.limit, rep.retraction_value, witness, core)
+    return SimpleNamespace(seen=[
+        rep.status, rep.trace, rep.first_n, rep.monotone, rep.r_target,
+        rep.witness is h.witness, h.satisfied, h.residue_overlap, h.min_rep_word,
+        rng.getstate(), [None if t is None else _simplex_fields(t.ctx, t) for t in simplices]])
+
+
+def _limit(run):
+    """One side of the regular hypothesis row: limit_boundary through run,
+    under a gate target of at least 1, seen through _limit_view."""
+    def side(cert, xi, seed):
+        rng = random.Random(seed)
+        rep = run(lambda: limit_boundary(
+            cert, xi, r_target=max(1, xi.ctx.precision // 2), rng=rng))
+        return _limit_view(cert, rep, rng)
+    return side
+
+
 def _least_sqrt_mod_p(a, p):
     """The root modulo p that PadicScalar.sqrt takes: the least of the two."""
     r = _sqrt_mod_p(a, p)
@@ -1254,5 +1353,7 @@ ROWS = {
         Row("test_radius_matches_difference_matrix", _radius, _ref_radius,
             _grid(49, 60, _radius_pairs,
                   [GroupContext(n, p) for n, p in ((2, 3), (3, 3), (3, 5), (4, 2))])),
+        Row("test_regular_hypothesis_matches_full_path",
+            _limit(lambda call: call()), _limit(full_path), _regular_limits),
     ),
 }

@@ -47,6 +47,7 @@ from reference import (
     flags,
     observe,
     raw,
+    ref_unipotent_radical_element,
     row_tests,
 )
 
@@ -299,6 +300,31 @@ def test_canonical_form_is_a_projection(precision):
             want = _radius(s1.translate(origin), s2.translate(origin))
             assert agreement_gate((0,) * ctx.n, s1, s2).radius == want
     assert checked > 1200
+
+
+@pytest.mark.parametrize("precision", [4, 8, 32])
+def test_face_of_its_own_dimensions_is_the_simplex(precision):
+    """By the projection, a simplex's face of its own dimensions is the
+    simplex itself, computing no flag; a representative with an entry
+    finer than the working precision is canonicalised again."""
+    checked = 0
+    for ctx, g, dims in flags(precision, 200 + precision):
+        try:
+            s = boundary_simplex(g, dims)
+        except PrecisionExhausted:
+            continue
+        assert s.face(dims) is s
+        checked += 1
+    assert checked > 1200
+    ctx = GroupContext(2, 3, 4)
+    g = Mat(ctx, [[PadicScalar(3, 0, 1, 9), ctx.zero],
+                  [PadicScalar(3, 0, 2, 9), ctx.one]])
+    s = boundary_simplex(g, (1,))
+    assert s.canon[1, 0].N == 9
+    face = s.face((1,))
+    assert face is not s
+    assert raw(face.canon) == raw(_canonical_flag(ctx, s.canon, (1,)))
+    assert face.canon[1, 0].N == 4
 
 
 def test_identity_translate_of_finer_entries_takes_the_full_path():
@@ -575,6 +601,27 @@ def test_unipotent_radical_stabilizes():
                 for j in range(cuts[bi], cuts[bi + 1]):
                     expect_delta = ctx.one if i == j else ctx.zero
                     assert (conj[i, j] - expect_delta).val_floor() >= N - 12
+
+
+def test_undrawn_unipotent_radical_element_is_the_identity():
+    """With no entry drawn the element is the shared identity; drawn or
+    not, the draws from rng are those of the conjugation it replaced, and
+    a drawn element is that conjugation."""
+    kinds = set()
+    for ctx, rng in draws(21, 40, ALL_CTX[:2]):
+        dims = rng.choice(all_dims(ctx.n))
+        s = boundary_simplex(ctx.random_element(rng), dims)
+        seed = rng.randrange(10**6)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        u = unipotent_radical_element(s, ours)
+        drawn, ref = ref_unipotent_radical_element(s, theirs)
+        assert ours.getstate() == theirs.getstate()
+        if drawn:
+            assert raw(u) == raw(ref)
+        else:
+            assert u is ctx.identity
+        kinds.add(drawn)
+    assert kinds == {True, False}
 
 
 def test_chamber_of_contains_simplex():

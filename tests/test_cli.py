@@ -29,7 +29,7 @@ from buildinglab.cli import (
     parse_config,
     run,
 )
-from buildinglab import building
+from buildinglab import building, dynamics
 from buildinglab.building import _MAX_UNIT_BITS, GroupContext
 from buildinglab.padic import PrecisionExhausted
 
@@ -426,11 +426,13 @@ def test_dynamics_runs_out_of_digits_at_offset_7(monkeypatch):
 
 # (answers, hand-overs) of the diagonal shortcut at each preset's own seed.
 # 6 of the 20 targets sl2-q3-transit draws have a unipotent radical element
-# that is exactly the identity; it is a computed product, which carries no
-# exponents, so translating by it takes the full flag.
+# with no entry drawn; it is the shared identity, by which a translate is
+# free, with no flag and no shortcut.  The regular dynamics presets make
+# no membership translate in the hypothesis check, which the certificate
+# answers.
 _DIAGONAL_TRAFFIC = {
-    "sl2-q3-dynamics": (690, 28),
-    "sl3-q3-dynamics": (1416, 72),
+    "sl2-q3-dynamics": (640, 28),
+    "sl3-q3-dynamics": (1366, 72),
     "sl3-q3-wall-dynamics": (503, 40),
     "sl2-q3-transit": (160, 0),
 }
@@ -450,6 +452,38 @@ def test_diagonal_shortcut_traffic_at_seed_0(monkeypatch, preset):
     code, _ = run(parse_config(dict(PRESETS[preset])))
     assert code == 0
     assert (answers.count(True), answers.count(False)) == _DIAGONAL_TRAFFIC[preset]
+
+
+# (records whose hypothesis the certificate answers, records, apartment
+# frames built) of each dynamics preset at its own seed: a regular element
+# answers every record and retracts onto its certificate's frame, a wall
+# element none.
+_REGULAR_SHORTCUT = {
+    "sl2-q3-dynamics": (50, 50, 0),
+    "sl3-q3-dynamics": (50, 50, 0),
+    "sl3-q3-wall-dynamics": (0, 50, 50),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_REGULAR_SHORTCUT))
+def test_regular_shortcut_records_at_seed_0(monkeypatch, preset):
+    answered, frames = [], []
+    real_check, real_frame = dynamics.assumption_check, dynamics.big_cell_frame
+
+    def recorded(cert, beta):
+        rep = real_check(cert, beta)
+        answered.append(rep.witness is cert.sigma_minus)
+        return rep
+
+    def counted(*args):
+        frames.append(1)
+        return real_frame(*args)
+
+    monkeypatch.setattr(dynamics, "assumption_check", recorded)
+    monkeypatch.setattr(dynamics, "big_cell_frame", counted)
+    code, _ = run(parse_config(dict(PRESETS[preset])))
+    assert code == 0
+    assert (answered.count(True), len(answered), len(frames)) == _REGULAR_SHORTCUT[preset]
 
 
 def _with(preset, **fields):

@@ -191,7 +191,6 @@ def test_no_global_statement_in_the_package():
 # public names that nothing in src/, scripts/ or the acceptance suite reaches
 _UNREACHED = {
     "project_to_residue": "ROADMAP item 2 gives it a caller",
-    "is_regular": "ROADMAP item 5 or 6 gives it a caller",
     "agreement_gate": "CONVENTIONS.md defines the gate by it",
 }
 

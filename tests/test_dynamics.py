@@ -37,7 +37,7 @@ from buildinglab.dynamics import (
 )
 from buildinglab.dynamics import _mat_power
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
-from reference import draws, raw, row_tests
+from reference import ROWS, draws, full_path, holds_approximate_zero, raw, row_tests
 
 N = 32
 
@@ -438,6 +438,46 @@ def test_assumption_check_rotation_failure():
     )
     assert not parabolic_membership(cert.element, xi_ok)
     assert assumption_check(cert, xi_ok).satisfied
+
+
+def test_regular_hypothesis_of_a_simplex_that_is_no_chamber_takes_the_full_path():
+    def seen(rep):
+        return raw([rep.satisfied, rep.witness.canon, rep.core.canon,
+                    rep.residue_overlap, rep.min_rep_word])
+
+    ctx = GroupContext(3, 3)
+    cert = classify(ctx.diag((1, 0, -1)))
+    rng = random.Random(57)
+    for dims in ((1,), (2,)):
+        beta = boundary_simplex(ctx.random_gl_zp(rng), dims)
+        rep = assumption_check(cert, beta)
+        assert rep.witness is not cert.sigma_minus
+        assert seen(rep) == seen(full_path(assumption_check, cert, beta))
+
+
+def test_regular_hypothesis_grid_reaches_every_case():
+    """The grid of the regular hypothesis row reaches the certificate's
+    answer where the full path's witness is bit for bit the repelling
+    chamber and where it holds an approximate zero, and a wall
+    certificate and a regular one in a frame the caller supplied, which
+    take the full path."""
+    (row,) = [r for r in ROWS["test_dynamics"]
+              if r.name == "test_regular_hypothesis_matches_full_path"]
+    cases = []
+    for cert, xi, _ in row.grid():
+        try:
+            rep = assumption_check(cert, xi)
+            full = full_path(assumption_check, cert, xi)
+        except PrecisionExhausted:
+            continue
+        if rep.witness is not cert.sigma_minus:
+            cases.append("wall" if cert.wall_type else "frame")
+        elif holds_approximate_zero(full.witness):
+            cases.append("approximate")
+        else:
+            assert raw(full.witness.canon) == raw(cert.sigma_minus.canon)
+            cases.append("exact")
+    assert set(cases) == {"exact", "approximate", "wall", "frame"}
 
 
 # -- limits of iterated chambers -----------------------------------------------------
