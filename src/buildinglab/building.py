@@ -207,11 +207,19 @@ class Mat:
 
         The inverse of ``ctx.diag(k)`` without units is ``ctx.diag(-k)``,
         fields and shared exact zeros as the elimination gives them, and is
-        built directly.
+        built directly.  So is the inverse of a permutation matrix whose
+        entries are the shared exact zero and scalars with the fields of
+        ``ctx.one`` (``ctx.identity``, ``ctx.perm`` and every coordinate
+        chamber's representative): the elimination makes no row step and
+        divides by no pivot there, and gives the transpose, built of the
+        shared ``ctx.one`` and exact zero.
         """
         n, ctx = self.n, self.ctx
         if self._shifts is not None:
             return ctx.diag([-k for k in self._shifts])
+        cols = _permutation_columns(ctx, self.rows)
+        if cols is not None:
+            return ctx.perm(cols)
         aug = [row + tuple(ctx.one if i == j else ctx.zero for j in range(n))
                for i, row in enumerate(self.rows)]
         R, pivots = _echelon_rows(ctx, aug)
@@ -227,6 +235,23 @@ class Mat:
             " ".join(x.to_literal() for x in row) for row in self.rows
         )
         return f"Mat[{body}]"
+
+
+def _permutation_columns(ctx: "GroupContext", rows) -> Optional[List[int]]:
+    """The column of each row's one when rows are a permutation matrix of
+    the shared exact zero and scalars with the fields of ``ctx.one``, else
+    None."""
+    zero, p, N = ctx.zero, ctx.p, ctx.precision
+    cols = []
+    for row in rows:
+        ones = [j for j, x in enumerate(row) if x is not zero]
+        if len(ones) != 1:
+            return None
+        x = row[ones[0]]
+        if x.p != p or x.v != 0 or x.unit != 1 or x.N != N:
+            return None
+        cols.append(ones[0])
+    return cols if len(set(cols)) == len(cols) else None
 
 
 def _det(rows: Sequence[Sequence[PadicScalar]]) -> PadicScalar:
@@ -1195,12 +1220,21 @@ def retraction(frame: Mat, center: WeylElement, x: IdealSimplex) -> IdealSimplex
 
     The apartment's chambers are frame * w * c_plus; the retraction is
     centered at the chamber marked by `center` and preserves the Weyl
-    distance from that chamber.
+    distance from that chamber.  It reads that distance off the Bruhat
+    cell of ``m_c**-1 . x`` for m_c = frame * center, which depends on x
+    alone, and builds the chamber at it with ``_apartment_chamber``.
     """
     ctx = frame.ctx
     m_c = frame * ctx.perm(coxeter.permutation_from_weyl(center))
     _, m, _ = bruhat_cell(m_c.inv() * x.canon)
     perm, _ = monomial_parts(m)
+    return _apartment_chamber(m_c, perm)
+
+
+def _apartment_chamber(m_c: Mat, perm: Sequence[int]) -> IdealSimplex:
+    """The chamber at Weyl distance perm from the chamber m_c * c_plus in
+    the apartment of m_c: the chamber of m_c * perm(perm)."""
+    ctx = m_c.ctx
     return boundary_simplex(m_c * ctx.perm(perm), ctx.full_dims)
 
 

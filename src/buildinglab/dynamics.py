@@ -26,20 +26,25 @@ which ``IdealSimplex.translate`` maps to the simplex itself, so at base
 moves the gate face into frame coordinates once for both the
 block-splitting test and the stable refinement.
 
-A strongly regular certificate (empty wall type) whose repelling simplex
-is a coordinate chamber, every entry of its representative the shared
-``ctx.one`` or exact zero, as ``classify`` builds it for every regular
-diagonal element, answers the hypothesis for a chamber itself: the star
-of a chamber is that chamber alone, so the projection of every chamber
-is the repelling one, which the element fixes.  ``assumption_check``
-then returns it as core and witness, and ``limit_boundary`` retracts onto
-the certificate's frame, which carries ``c_plus`` to the attracting
-chamber and ``c_minus`` to the repelling one.  A certificate with a wall
-type, or whose repelling simplex is no coordinate chamber, as a frame the
-caller supplies generally gives, takes the full projection and apartment
-search.  Sums of products
-(polynomial coefficients, column combinations) are one call each to the
-raw kernel ``padic._fold``.
+The hypothesis check for a chamber has two shortcuts, both for a
+certificate whose repelling simplex is a coordinate simplex, every entry
+of its representative the shared ``ctx.one`` or exact zero, as
+``classify`` builds it for every diagonal element.  A strongly regular
+certificate (empty wall type) answers itself: the star of a chamber is
+that chamber alone, so the projection of every chamber is the repelling
+one, which the element fixes.  ``assumption_check`` returns it as core
+and witness, and ``limit_boundary`` takes the retraction onto the
+certificate's frame, centred there, as the chamber of that apartment at
+the Weyl distance the check has just read.  A wall certificate of an
+exact ``diag(p**k)`` acts on every Levi block by one scalar, so it fixes
+every chamber of the repelling simplex's star: the projection of the
+chamber is core and witness, and ``limit_boundary`` searches an
+apartment through it and the attracting simplex, as on the full path.
+Every other certificate (a Levi rotation by units, a frame the caller
+supplies) takes the full projection, block test and stable refinement.
+On every route the retraction depends on the start chamber alone, never
+on its orbit.  Sums of products (polynomial coefficients, column
+combinations) are one call each to the raw kernel ``padic._fold``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from . import _Record, coxeter
 from .building import (
     IdealSimplex,
     Mat,
+    _apartment_chamber,
     _combine_columns,
     _diff_floor,
     boundary_simplex,
@@ -526,13 +532,25 @@ class AssumptionReport(_Record):
     min_rep_word: Tuple[int, ...]
 
 
-def _coordinate_chamber(cert: HyperbolicCertificate, beta: IdealSimplex) -> bool:
-    """Is beta a chamber and cert regular with a coordinate chamber as its
-    repelling simplex, every entry the shared ``ctx.one`` or exact zero?"""
-    sm = cert.sigma_minus
+def _fixed_star(cert: HyperbolicCertificate, beta: IdealSimplex) -> bool:
+    """Does the element fix every chamber of the star of the repelling
+    simplex, by the certificate's own data, when beta is a chamber?
+
+    Holds when beta is a chamber, the repelling simplex is a coordinate
+    simplex (every entry of its representative the shared ``ctx.one`` or
+    exact zero) and the element acts on every Levi block by a scalar:
+    the repelling simplex is a chamber (a regular certificate), or the
+    element is an exact ``diag(p**k)`` of beta's context (it keeps k in
+    ``_shifts``).  The gaps of a coordinate flag are spanned by the
+    coordinate lines of one slope block each, on which such an element
+    is one scalar, so every chamber between them is fixed and splits
+    across the blocks.
+    """
+    sm, g = cert.sigma_minus, cert.element
     one, zero = sm.ctx.one, sm.ctx.zero
-    return beta.is_chamber() and cert.is_regular() and all(
-        x is one or x is zero for row in sm.canon.rows for x in row)
+    return (beta.is_chamber()
+            and (cert.is_regular() or (g._shifts is not None and g.ctx is beta.ctx))
+            and all(x is one or x is zero for row in sm.canon.rows for x in row))
 
 
 def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> AssumptionReport:
@@ -544,27 +562,35 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
     block-adapted in the eigenframe and stabilized by the element.
     Requires a certificate with a frame.
 
-    For a chamber beta and a regular certificate whose repelling simplex
-    is a coordinate chamber (``_coordinate_chamber``) the answer is read
-    off the certificate: that simplex is a chamber, its star is itself,
-    and the element fixes it, so it is core and witness, the residue
-    types are empty and the double-coset reduction leaves the Weyl
-    distance from it to beta as it is.
+    Where ``_fixed_star`` holds, every chamber of that star is fixed and
+    block-split, so for a chamber beta the answer is yes and its witness
+    is the projection itself; no block test, membership translate or
+    stable refinement is made.  For a regular certificate that simplex is
+    a chamber, its star is itself, and it is core and witness, with empty
+    residue types and the Weyl distance from it to beta as the
+    double-coset representative.  Otherwise (a wall certificate of an
+    exact diagonal) the projection f0 of beta is core and witness, and
+    the Weyl distance from f0 to beta is reduced as on the full path.
+    Every other case (beta no chamber, a Levi rotation by units, a frame
+    the caller supplied) takes the full path.
     """
     if cert.frame is None:
         raise ValueError("hypothesis check needs an eigenframe certificate")
-    if _coordinate_chamber(cert, beta):
-        sm = cert.sigma_minus
-        return AssumptionReport(True, sm, sm, frozenset(), weyl_distance(sm, beta).word)
     ctx = beta.ctx
+    sm = cert.sigma_minus
+    fixed = _fixed_star(cert, beta)
+    if fixed and cert.is_regular():
+        return AssumptionReport(True, sm, sm, frozenset(), weyl_distance(sm, beta).word)
     depth = ctx.precision - 8
     c0 = chamber_of(beta)
-    f0 = project_to_star(cert.sigma_minus, c0)
+    f0 = project_to_star(sm, c0)
     w_fc = weyl_distance(f0, c0)
-    I_res = cert.sigma_minus.type
+    I_res = sm.type
     J_res = beta.type
     w1 = ctx.weyl.min_double_coset_rep(I_res, w_fc, J_res)
     K = ctx.weyl.parabolic_intersection(I_res, w1, J_res)
+    if fixed:
+        return AssumptionReport(True, f0, f0, K, w1.word)
     tau = f0.face(dims_of_type(ctx.n, K))
     tau_f = tau.translate(cert.frame.inv())
     ok = _block_adapted(cert, tau_f) and parabolic_membership(
@@ -589,6 +615,22 @@ class LimitReport(_Record):
     monotone: bool
     r_target: float
     hypothesis: AssumptionReport
+
+
+def _frame_retraction(cert: HyperbolicCertificate, word: Sequence[int]) -> IdealSimplex:
+    """Retraction onto the certificate's apartment, centred at its
+    repelling chamber, of a chamber at Weyl distance word from that
+    chamber: the chamber of the apartment at that distance.
+
+    ``retraction(cert.frame, w0, xi)`` centres at the same chamber,
+    ``cert.frame * perm(w0)`` with ``perm(w0)`` the reversal, and reads
+    the same distance off a Bruhat cell of its own; here it is the one
+    the hypothesis check has just read, so no inverse, product or cell is
+    computed for it.
+    """
+    ctx = cert.element.ctx
+    return _apartment_chamber(cert.frame * ctx.reversal,
+                              coxeter.permutation_from_weyl(ctx.weyl.from_word(word)))
 
 
 def _apartment_retraction(
@@ -642,9 +684,14 @@ def limit_boundary(
     the element fixes, and its report is the `hypothesis` field.  When
     its witness is the certificate's repelling chamber itself (the
     regular coordinate case of ``assumption_check``), the certificate's
-    frame already spans the apartment through both endpoint chambers and
-    is the retraction frame; the apartment search, whose first attempt
-    would succeed without a draw from rng, is skipped.
+    frame already spans the apartment through both endpoint chambers,
+    and the retraction is that apartment's chamber at the Weyl distance
+    from the repelling chamber to xi, the check's ``min_rep_word``
+    (``_frame_retraction``); the apartment search, whose first attempt
+    would succeed without a draw from rng, is skipped.  Any other
+    witness, the projection a wall certificate answers with included,
+    takes the apartment search and ``retraction``.  Either way the
+    prediction is read off xi alone, independently of the orbit.
     A gate target below 1 certifies nothing and raises ValueError.
     """
     ctx = xi.ctx
@@ -692,7 +739,7 @@ def limit_boundary(
 
     witness = report.witness
     if witness is cert.sigma_minus:
-        eta = retraction(cert.frame, ctx.weyl.longest_element(), xi)
+        eta = _frame_retraction(cert, report.min_rep_word)
     else:
         eta = _apartment_retraction(cert, witness, xi, rng)
 

@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple, Tuple
 
 import pytest
 
+from buildinglab import dynamics
 from buildinglab.building import (
     GroupContext,
     IdealSimplex,
@@ -23,6 +24,8 @@ from buildinglab.building import (
     cartan_decomposition,
     iwasawa_decomposition,
     mat_agreement,
+    retraction,
+    weyl_distance,
 )
 from buildinglab.building import (
     _canonical_flag,
@@ -39,7 +42,7 @@ from buildinglab.building import (
 )
 from buildinglab.coxeter import CARTAN, CoxeterSystem, WeylElement, get_system
 from buildinglab.dynamics import (
-    HyperbolicCertificate,
+    _frame_retraction,
     _radius,
     characteristic_polynomial,
     classify,
@@ -1099,6 +1102,51 @@ def _with_shared_zero(m):
     return [m, [x is m.ctx.zero for row in m.rows for x in row]]
 
 
+def _with_shared_entries(m):
+    """The raw fields of m and which of its entries are the shared exact
+    zero and the shared ctx.one."""
+    return [*_with_shared_zero(m), [x is m.ctx.one for row in m.rows for x in row]]
+
+
+def _ref_inv(g):
+    """g**-1 by Gauss-Jordan on [g | I], the elimination Mat.inv runs on a
+    matrix it does not build directly."""
+    ctx, n = g.ctx, g.n
+    aug = [row + tuple(ctx.one if i == j else ctx.zero for j in range(n))
+           for i, row in enumerate(g.rows)]
+    R, pivots = _echelon_rows(ctx, aug)
+    if len(pivots) < n or pivots[n - 1][1] != n - 1:
+        raise PrecisionExhausted("matrix is singular within working precision")
+    return Mat(ctx, [r[n:] for r in R])
+
+
+def _permutations():
+    """(g,): every permutation matrix, as ctx.perm builds it and as ctx.mat
+    builds it from integers, for n in 2..4, p in 2, 3, 5 and N in 1, 3, 8,
+    32; and beside them near misses that Mat.inv eliminates: a one known to
+    fewer digits, a unit other than 1, a one shifted by p, an exact zero
+    that is not the shared one, an approximate zero, a zero row and a
+    repeated column."""
+    for n, p, prec in itertools.product((2, 3, 4), (2, 3, 5), (1, 3, 8, 32)):
+        ctx = GroupContext(n, p, prec)
+        for sigma in itertools.permutations(range(n)):
+            g = ctx.perm(sigma)
+            yield g,
+            yield ctx.mat([[int(x.unit) for x in row] for row in g.rows]),
+        g = ctx.perm(tuple(range(n))[::-1])
+        misses = [PadicScalar(p, 0, 1 + p, prec), PadicScalar(p, 1, 1, prec),
+                  PadicScalar(p, INF, 0, 0), PadicScalar.near_zero(p, 2), ctx.zero]
+        if prec > 1:
+            misses.append(PadicScalar(p, 0, 1, prec - 1))
+        for x in misses:
+            rows = [list(r) for r in g.rows]
+            rows[n - 1][0] = x
+            yield Mat(ctx, rows),
+        rows = [list(r) for r in g.rows]
+        rows[0][0], rows[0][n - 1] = ctx.one, ctx.zero
+        yield Mat(ctx, rows),
+
+
 def _structured(ctx, rng):
     sigma = list(range(ctx.n))
     rng.shuffle(sigma)
@@ -1140,14 +1188,15 @@ def _radius_pairs(ctx, rng):
 
 
 def full_path(fn, *args):
-    """fn(*args) with every certificate taken for one of a wall type, which
-    sends assumption_check and limit_boundary down their full path."""
-    regular = HyperbolicCertificate.is_regular
-    HyperbolicCertificate.is_regular = lambda cert: False
+    """fn(*args) with no certificate taken to fix the star of its repelling
+    simplex, which sends assumption_check and limit_boundary down their
+    full path."""
+    fixed = dynamics._fixed_star
+    dynamics._fixed_star = lambda cert, beta: False
     try:
         return fn(*args)
     finally:
-        HyperbolicCertificate.is_regular = regular
+        dynamics._fixed_star = fixed
 
 
 def holds_approximate_zero(s):
@@ -1165,38 +1214,73 @@ def _regular_limits():
     """(cert, xi, seed): chambers drawn by random_gl_zp, random_element and
     random_iwahori under two regular diagonal elements each, for n in 2..4,
     p in 2, 3, 5 and N in 1, 2, 3, 4, 8, 32; and beside them, for n = 3,
-    a wall certificate and a regular certificate in a frame the caller
-    supplied."""
+    a wall certificate, a wall certificate whose Levi block rotates by
+    units, and a regular certificate in a frame the caller supplied."""
     rng = random.Random(64)
-    exps = {2: ((1, -1), (-2, 1)), 3: ((1, 0, -1), (0, -2, 1)),
-            4: ((2, 1, 0, -3), (-1, 3, 0, -2))}
     for n, p, prec in itertools.product((2, 3, 4), (2, 3, 5), (1, 2, 3, 4, 8, 32)):
         ctx = GroupContext(n, p, prec)
-        certs = [classify(ctx.diag(k)) for k in exps[n]]
+        certs = [classify(ctx.diag(k)) for k in _REGULAR_EXPS[n]]
         if n == 3 and prec >= 8:
             h = ctx.random_gl_zp(rng)
             certs += [classify(ctx.diag((1, 1, -2))),
-                      classify(h * ctx.diag(exps[n][0]) * h.inv(), h)]
-        for cert in certs:
-            for draw in (ctx.random_gl_zp, ctx.random_element, ctx.random_iwahori):
-                for _ in range(2):
-                    try:
-                        xi = boundary_simplex(draw(rng), ctx.full_dims)
-                    except PrecisionExhausted:
-                        continue
-                    yield cert, xi, rng.randrange(1000)
+                      classify(ctx.diag((1, 1, -2), units=(7, 13, 1))),
+                      classify(h * ctx.diag(_REGULAR_EXPS[n][0]) * h.inv(), h)]
+        yield from _starts(ctx, certs, rng, 2)
+
+
+_REGULAR_EXPS = {2: ((1, -1), (-2, 1)), 3: ((1, 0, -1), (0, -2, 1)),
+                 4: ((2, 1, 0, -3), (-1, 3, 0, -2))}
+
+
+def _starts(ctx, certs, rng, count):
+    """(cert, xi, seed): count chambers drawn by each of random_gl_zp,
+    random_element and random_iwahori for each certificate, with a seed
+    for the rng of its limit."""
+    for cert in certs:
+        for draw in (ctx.random_gl_zp, ctx.random_element, ctx.random_iwahori):
+            for _ in range(count):
+                try:
+                    xi = boundary_simplex(draw(rng), ctx.full_dims)
+                except PrecisionExhausted:
+                    continue
+                yield cert, xi, rng.randrange(1000)
+
+
+_WALL_EXPS = ((1, 1, -2), (2, -1, -1), (1, 1, -1, -1), (1, 1, 1, -3), (3, -1, -1, -1),
+              (2, 0, -1, -1), (1, 1, 0, -2))
+
+
+def _wall_limits():
+    """(cert, xi, seed): chambers drawn by random_gl_zp, random_element and
+    random_iwahori under the exact diagonal of every wall type in
+    _WALL_EXPS, for p in 2, 3, 5 and N in 1, 2, 3, 4, 8, 16, 32."""
+    rng = random.Random(65)
+    for exps, p, prec in itertools.product(_WALL_EXPS, (2, 3, 5), (1, 2, 3, 4, 8, 16, 32)):
+        ctx = GroupContext(len(exps), p, prec)
+        yield from _starts(ctx, [classify(ctx.diag(exps))], rng, 2)
+
+
+def _frame_retractions():
+    """(cert, xi): the chambers of the regular hypothesis row's regular
+    diagonal certificates."""
+    return ((cert, xi) for cert, xi, _ in _regular_limits()
+            if cert.is_regular() and cert.element._shifts is not None)
 
 
 def _limit_view(cert, rep, rng):
     """Every field of a limit report and its hypothesis, simplices by
     _simplex_fields, and the state of the rng the call drew from.  A
-    witness holding an approximate zero is seen as the repelling chamber
-    when that agrees with witness and core on every digit they claim."""
-    h, sm = rep.hypothesis, cert.sigma_minus
+    witness holding an approximate zero is seen as the chamber the
+    certificate answers with, when that agrees with witness and core on
+    every digit they claim: the repelling chamber of a regular
+    certificate, and the projection, which is the core, of any other."""
+    h = rep.hypothesis
     witness, core = h.witness, h.core
+    answer = cert.sigma_minus if cert.is_regular() else core
     if (witness is not None and holds_approximate_zero(witness)
-            and _within_claimed_digits(sm, witness) and _within_claimed_digits(sm, core)):
-        witness = core = sm
+            and _within_claimed_digits(answer, witness)
+            and _within_claimed_digits(answer, core)):
+        witness = core = answer
     simplices = (rep.limit, rep.retraction_value, witness, core)
     return SimpleNamespace(seen=[
         rep.status, rep.trace, rep.first_n, rep.monotone, rep.r_target,
@@ -1205,7 +1289,7 @@ def _limit_view(cert, rep, rng):
 
 
 def _limit(run):
-    """One side of the regular hypothesis row: limit_boundary through run,
+    """One side of the hypothesis rows: limit_boundary through run,
     under a gate target of at least 1, seen through _limit_view."""
     def side(cert, xi, seed):
         rng = random.Random(seed)
@@ -1311,6 +1395,9 @@ ROWS = {
         Row("test_diagonal_inverse_matches_elimination",
             lambda g: _with_shared_zero(g.inv()),
             lambda g: _with_shared_zero(Mat(g.ctx, g.rows).inv()), _diagonals),
+        Row("test_permutation_inverse_matches_elimination",
+            lambda g: _with_shared_entries(g.inv()),
+            lambda g: _with_shared_entries(_ref_inv(g)), _permutations),
         Row("test_structured_factors_match_the_products",
             lambda ctx, sigma, exps: (ctx.diag(exps), ctx.monomial(sigma, exps)),
             lambda ctx, sigma, exps: (_ref_diag(ctx, exps),
@@ -1355,5 +1442,13 @@ ROWS = {
                   [GroupContext(n, p) for n, p in ((2, 3), (3, 3), (3, 5), (4, 2))])),
         Row("test_regular_hypothesis_matches_full_path",
             _limit(lambda call: call()), _limit(full_path), _regular_limits),
+        Row("test_wall_hypothesis_matches_full_path",
+            _limit(lambda call: call()), _limit(full_path), _wall_limits),
+        Row("test_frame_retraction_matches_retraction",
+            lambda cert, xi: _simplex_fields(xi.ctx, _frame_retraction(
+                cert, weyl_distance(cert.sigma_minus, xi).word)),
+            lambda cert, xi: _simplex_fields(xi.ctx, retraction(
+                cert.frame, xi.ctx.weyl.longest_element(), xi)),
+            _frame_retractions),
     ),
 }

@@ -427,13 +427,14 @@ def test_dynamics_runs_out_of_digits_at_offset_7(monkeypatch):
 # (answers, hand-overs) of the diagonal shortcut at each preset's own seed.
 # 6 of the 20 targets sl2-q3-transit draws have a unipotent radical element
 # with no entry drawn; it is the shared identity, by which a translate is
-# free, with no flag and no shortcut.  The regular dynamics presets make
-# no membership translate in the hypothesis check, which the certificate
-# answers.
+# free, with no flag and no shortcut.  No dynamics preset makes a
+# membership translate in the hypothesis check: the regular certificates
+# answer it, and the wall element, an exact diagonal, answers it from the
+# projection.
 _DIAGONAL_TRAFFIC = {
     "sl2-q3-dynamics": (640, 28),
     "sl3-q3-dynamics": (1366, 72),
-    "sl3-q3-wall-dynamics": (503, 40),
+    "sl3-q3-wall-dynamics": (453, 40),
     "sl2-q3-transit": (160, 0),
 }
 
@@ -454,14 +455,17 @@ def test_diagonal_shortcut_traffic_at_seed_0(monkeypatch, preset):
     assert (answers.count(True), answers.count(False)) == _DIAGONAL_TRAFFIC[preset]
 
 
-# (records whose hypothesis the certificate answers, records, apartment
-# frames built) of each dynamics preset at its own seed: a regular element
-# answers every record and retracts onto its certificate's frame, a wall
-# element none.
+# (records whose hypothesis the certificate or its projection answers,
+# records, apartment frames built) of each dynamics preset at its own seed:
+# a regular element answers every record and retracts onto its
+# certificate's frame; the wall element, an exact diagonal, answers every
+# record from the projection and searches an apartment for each.  An
+# answered record's witness is its core: the full path's witness is a
+# stable refinement, built anew.
 _REGULAR_SHORTCUT = {
     "sl2-q3-dynamics": (50, 50, 0),
     "sl3-q3-dynamics": (50, 50, 0),
-    "sl3-q3-wall-dynamics": (0, 50, 50),
+    "sl3-q3-wall-dynamics": (50, 50, 50),
 }
 
 
@@ -472,7 +476,7 @@ def test_regular_shortcut_records_at_seed_0(monkeypatch, preset):
 
     def recorded(cert, beta):
         rep = real_check(cert, beta)
-        answered.append(rep.witness is cert.sigma_minus)
+        answered.append(rep.witness is not None and rep.witness is rep.core)
         return rep
 
     def counted(*args):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from buildinglab import building
+from buildinglab import building, dynamics
 from buildinglab.building import (
     GroupContext,
     boundary_simplex,
@@ -458,9 +458,10 @@ def test_regular_hypothesis_of_a_simplex_that_is_no_chamber_takes_the_full_path(
 def test_regular_hypothesis_grid_reaches_every_case():
     """The grid of the regular hypothesis row reaches the certificate's
     answer where the full path's witness is bit for bit the repelling
-    chamber and where it holds an approximate zero, and a wall
-    certificate and a regular one in a frame the caller supplied, which
-    take the full path."""
+    chamber and where it holds an approximate zero, the projection's
+    answer for a wall certificate of an exact diagonal, and the full path
+    for a wall certificate whose Levi block rotates by units and for a
+    regular one in a frame the caller supplied."""
     (row,) = [r for r in ROWS["test_dynamics"]
               if r.name == "test_regular_hypothesis_matches_full_path"]
     cases = []
@@ -470,14 +471,43 @@ def test_regular_hypothesis_grid_reaches_every_case():
             full = full_path(assumption_check, cert, xi)
         except PrecisionExhausted:
             continue
-        if rep.witness is not cert.sigma_minus:
-            cases.append("wall" if cert.wall_type else "frame")
-        elif holds_approximate_zero(full.witness):
-            cases.append("approximate")
+        if rep.witness is cert.sigma_minus:
+            if holds_approximate_zero(full.witness):
+                cases.append("approximate")
+            else:
+                assert raw(full.witness.canon) == raw(cert.sigma_minus.canon)
+                cases.append("exact")
+        elif rep.witness is not None and rep.witness is rep.core:
+            assert cert.wall_type and cert.element._shifts is not None
+            cases.append("wall")
         else:
-            assert raw(full.witness.canon) == raw(cert.sigma_minus.canon)
-            cases.append("exact")
-    assert set(cases) == {"exact", "approximate", "wall", "frame"}
+            assert full.witness is not full.core
+            cases.append("rotation" if cert.wall_type else "frame")
+    assert set(cases) == {"exact", "approximate", "wall", "rotation", "frame"}
+
+
+def test_levi_rotation_never_takes_the_projection_answer(monkeypatch):
+    """A wall element whose Levi block rotates by the units 4 and 7 keeps
+    no exponents, so the hypothesis check never answers from the
+    projection, and every start chamber drawn as the dynamics presets
+    draw them (random_gl_zp translates of c_plus) fails the hypothesis."""
+    ctx = GroupContext(3, 3, N)
+    cert = classify(ctx.diag((1, 1, -2), units=(4, 7, 1)))
+    assert cert.wall_type and cert.element._shifts is None
+    answers = []
+    real = dynamics._fixed_star
+
+    def recorded(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(dynamics, "_fixed_star", recorded)
+    rng = random.Random(20011)
+    reports = [limit_boundary(cert, ctx.c_plus.translate(ctx.random_gl_zp(rng)),
+                              max_n=4, rng=rng) for _ in range(30)]
+    assert answers == [False] * 30
+    assert [rep.hypothesis.satisfied for rep in reports] == [False] * 30
+    assert {rep.status for rep in reports} == {"hypothesis-not-satisfied"}
 
 
 # -- limits of iterated chambers -----------------------------------------------------
