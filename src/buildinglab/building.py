@@ -981,15 +981,9 @@ class IdealSimplex:
         return all(x.N <= N for row in self.canon.rows for x in row)
 
     def face(self, sub_dims: Iterable[int]) -> "IdealSimplex":
-        """The face of the given flag dimensions; the simplex itself for
-        its own dimensions, by the projection property that ``translate``
-        uses for the identity, unless an entry is finer than the working
-        precision."""
         sub = tuple(sorted(sub_dims))
         if not set(sub) <= set(self.dims):
             raise ValueError("face dimensions must refine the simplex")
-        if sub == self.dims and self._within_precision():
-            return self
         return boundary_simplex(self.canon, sub)
 
     def agreement(self, other: "IdealSimplex"):
@@ -1259,12 +1253,16 @@ def project_to_star(s: IdealSimplex, d: IdealSimplex) -> IdealSimplex:
     Each gap of the flag of s is refined by the members of d in order:
     the slice added at stage j is the intersection of the gap's top
     with the j-th member of d.  Every minimal gallery from d to a
-    chamber of the star passes through the flag built this way.
+    chamber of the star passes through the flag built this way.  The star
+    of a chamber is that chamber alone, so a chamber s is returned as it
+    is, with no flag computed.
     """
-    ctx = s.ctx
-    n = ctx.n
     if not d.is_chamber():
         raise ValueError("projection needs a chamber to project")
+    if s.is_chamber():
+        return s
+    ctx = s.ctx
+    n = ctx.n
     s_cols = [[s.canon[i, j] for i in range(n)] for j in range(n)]
     d_cols = [[d.canon[i, j] for i in range(n)] for j in range(n)]
     cuts = [0, *s.dims, n]

@@ -457,8 +457,7 @@ def _run_dynamics(cfg: ExperimentConfig, rng: random.Random):
         # group is transitive) while keeping flag coordinates shallow
         # enough to certify agreement near working precision
         xi = ctx.c_plus.translate(ctx.random_gl_zp(rng))
-        lim = dyn.limit_boundary(cert, xi, max_n=max_n, r_target=r_target,
-                                 rng=rng)
+        lim = dyn.limit_boundary(cert, xi, max_n=max_n, r_target=r_target)
         satisfied = lim.hypothesis.satisfied
         row: Dict[str, Any] = {"index": i, "hypothesis": satisfied,
                                "status": lim.status}

@@ -26,25 +26,30 @@ which ``IdealSimplex.translate`` maps to the simplex itself, so at base
 moves the gate face into frame coordinates once for both the
 block-splitting test and the stable refinement.
 
-The hypothesis check for a chamber has two shortcuts, both for a
-certificate whose repelling simplex is a coordinate simplex, every entry
-of its representative the shared ``ctx.one`` or exact zero, as
-``classify`` builds it for every diagonal element.  A strongly regular
-certificate (empty wall type) answers itself: the star of a chamber is
-that chamber alone, so the projection of every chamber is the repelling
-one, which the element fixes.  ``assumption_check`` returns it as core
-and witness, and ``limit_boundary`` takes the retraction onto the
-certificate's frame, centred there, as the chamber of that apartment at
-the Weyl distance the check has just read.  A wall certificate of an
-exact ``diag(p**k)`` acts on every Levi block by one scalar, so it fixes
-every chamber of the repelling simplex's star: the projection of the
-chamber is core and witness, and ``limit_boundary`` searches an
-apartment through it and the attracting simplex, as on the full path.
-Every other certificate (a Levi rotation by units, a frame the caller
-supplies) takes the full projection, block test and stable refinement.
-On every route the retraction depends on the start chamber alone, never
-on its orbit.  Sums of products (polynomial coefficients, column
-combinations) are one call each to the raw kernel ``padic._fold``.
+The hypothesis check for a chamber has one shortcut, for a certificate
+whose repelling simplex is a coordinate simplex, every entry of its
+representative the shared ``ctx.one`` or exact zero, as ``classify``
+builds it for every diagonal element, and whose element acts on every
+Levi block by one scalar: a strongly regular certificate (empty wall
+type), or a wall certificate of an exact ``diag(p**k)``.  Such an
+element fixes every chamber of the repelling simplex's star, so the
+projection of the chamber is core and witness; for a regular
+certificate that star is the repelling chamber alone.  Every other
+certificate (a Levi rotation by units, a frame the caller supplies)
+takes the full projection, block test and stable refinement.
+
+``limit_boundary`` predicts the limit by one formula for every witness
+(``_predicted_limit``): the retraction of the start chamber onto an
+apartment through the attracting simplex and the witness, centred at
+the witness.  The witness is fixed and split across the eigen classes of
+the certificate's frame, so the frame and the witness's representative
+in frame coordinates span such an apartment, and the retraction is its
+chamber at the Weyl distance from the witness to the start chamber.  No
+apartment is searched and nothing is drawn at random: the prediction is
+a function of the certificate and the start chamber alone, never of its
+orbit or of other records.  Sums of products (polynomial coefficients,
+column combinations) are one call each to the raw kernel
+``padic._fold``.
 """
 
 from __future__ import annotations
@@ -70,9 +75,7 @@ from .building import (
     opposite,
     parabolic_membership,
     project_to_star,
-    retraction,
     weyl_distance,
-    big_cell_frame,
 )
 
 
@@ -563,24 +566,19 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
     Requires a certificate with a frame.
 
     Where ``_fixed_star`` holds, every chamber of that star is fixed and
-    block-split, so for a chamber beta the answer is yes and its witness
-    is the projection itself; no block test, membership translate or
-    stable refinement is made.  For a regular certificate that simplex is
-    a chamber, its star is itself, and it is core and witness, with empty
-    residue types and the Weyl distance from it to beta as the
-    double-coset representative.  Otherwise (a wall certificate of an
-    exact diagonal) the projection f0 of beta is core and witness, and
-    the Weyl distance from f0 to beta is reduced as on the full path.
-    Every other case (beta no chamber, a Levi rotation by units, a frame
-    the caller supplied) takes the full path.
+    block-split, so for a chamber beta the answer is yes: the projection
+    f0 of beta is core and witness, and the Weyl distance from f0 to
+    beta is reduced as on the full path, with no block test, membership
+    translate or stable refinement.  For a regular certificate the
+    repelling simplex is a chamber, whose star is itself, and
+    ``project_to_star`` returns it as f0.  Every other case (beta no
+    chamber, a Levi rotation by units, a frame the caller supplied)
+    takes the full path.
     """
     if cert.frame is None:
         raise ValueError("hypothesis check needs an eigenframe certificate")
     ctx = beta.ctx
     sm = cert.sigma_minus
-    fixed = _fixed_star(cert, beta)
-    if fixed and cert.is_regular():
-        return AssumptionReport(True, sm, sm, frozenset(), weyl_distance(sm, beta).word)
     depth = ctx.precision - 8
     c0 = chamber_of(beta)
     f0 = project_to_star(sm, c0)
@@ -589,7 +587,7 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
     J_res = beta.type
     w1 = ctx.weyl.min_double_coset_rep(I_res, w_fc, J_res)
     K = ctx.weyl.parabolic_intersection(I_res, w1, J_res)
-    if fixed:
+    if _fixed_star(cert, beta):
         return AssumptionReport(True, f0, f0, K, w1.word)
     tau = f0.face(dims_of_type(ctx.n, K))
     tau_f = tau.translate(cert.frame.inv())
@@ -617,50 +615,32 @@ class LimitReport(_Record):
     hypothesis: AssumptionReport
 
 
-def _frame_retraction(cert: HyperbolicCertificate, word: Sequence[int]) -> IdealSimplex:
-    """Retraction onto the certificate's apartment, centred at its
-    repelling chamber, of a chamber at Weyl distance word from that
-    chamber: the chamber of the apartment at that distance.
-
-    ``retraction(cert.frame, w0, xi)`` centres at the same chamber,
-    ``cert.frame * perm(w0)`` with ``perm(w0)`` the reversal, and reads
-    the same distance off a Bruhat cell of its own; here it is the one
-    the hypothesis check has just read, so no inverse, product or cell is
-    computed for it.
-    """
-    ctx = cert.element.ctx
-    return _apartment_chamber(cert.frame * ctx.reversal,
-                              coxeter.permutation_from_weyl(ctx.weyl.from_word(word)))
-
-
-def _apartment_retraction(
-    cert: HyperbolicCertificate,
-    witness: IdealSimplex,
-    xi: IdealSimplex,
-    rng: random.Random,
+def _predicted_limit(
+    cert: HyperbolicCertificate, report: AssumptionReport, xi: IdealSimplex
 ) -> IdealSimplex:
     """Retraction of xi onto an apartment through the attracting simplex
-    and the witness chamber, centred at the witness.
+    and the witness of a satisfied report, centred at the witness.
 
-    The first chamber tried is the one the attracting simplex's
-    representative spans; up to 11 more chambers through that simplex
-    are drawn from rng.
+    The witness is fixed and split across the eigen classes of the frame
+    F, so each column of its representative A in frame coordinates lies
+    in one class, and the apartment of F * A, whose chamber F * A *
+    c_plus is the witness, holds both endpoint simplices.  The
+    retraction is the chamber of that apartment at the Weyl distance
+    from the witness to xi.  When the witness is the projection of xi
+    (the core), that distance is the check's ``min_rep_word``: by the
+    gate property it is already minimal in its double coset.  The full
+    path's stable refinement reads it off the pair.
     """
     ctx = xi.ctx
-    for attempt in range(12):
-        if attempt == 0:
-            E = chamber_of(cert.sigma_plus)
-        else:
-            q = ctx.random_parabolic_element(
-                rng, cert.sigma_plus.dims, integral=True
-            )
-            E = boundary_simplex(cert.sigma_plus.canon * q, ctx.full_dims)
-        if opposite(E, witness):
-            frame = big_cell_frame(E, witness)
-            return retraction(frame, ctx.weyl.longest_element(), xi)
-    raise PrecisionExhausted(
-        "no apartment through the attracting simplex and the witness"
-    )
+    witness = report.witness
+    if witness is report.core:
+        word = report.min_rep_word
+    else:
+        word = weyl_distance(witness, xi).word
+    F = cert.frame
+    A = boundary_simplex(F.inv() * witness.canon, ctx.full_dims).canon
+    return _apartment_chamber(
+        F * A, coxeter.permutation_from_weyl(ctx.weyl.from_word(word)))
 
 
 def limit_boundary(
@@ -669,30 +649,22 @@ def limit_boundary(
     max_n: int = 64,
     r_target: Optional[float] = None,
     base: Optional[Sequence[int]] = None,
-    rng: Optional[random.Random] = None,
 ) -> LimitReport:
     """Iterate a boundary chamber and compare against the retraction value.
 
     The predicted limit is the retraction of the start chamber onto an
-    apartment through the attracting simplex, centered at the witness
-    chamber produced by the hypothesis check.  Convergence means the
-    agreement gate between the iterates and that prediction reaches
-    r_target.  When the hypothesis fails the orbit is still traced,
-    gate per consecutive step, and reported without a limit; rotation
-    near the repelling simplex shows up there as a stalling trace.
+    apartment through the attracting simplex and the witness chamber
+    produced by the hypothesis check, centred at the witness
+    (``_predicted_limit``).  Convergence means the agreement gate
+    between the iterates and that prediction reaches r_target.  When the
+    hypothesis fails the orbit is still traced, gate per consecutive
+    step, and reported without a limit; rotation near the repelling
+    simplex shows up there as a stalling trace.
     The hypothesis check runs once per call, also for a start chamber
-    the element fixes, and its report is the `hypothesis` field.  When
-    its witness is the certificate's repelling chamber itself (the
-    regular coordinate case of ``assumption_check``), the certificate's
-    frame already spans the apartment through both endpoint chambers,
-    and the retraction is that apartment's chamber at the Weyl distance
-    from the repelling chamber to xi, the check's ``min_rep_word``
-    (``_frame_retraction``); the apartment search, whose first attempt
-    would succeed without a draw from rng, is skipped.  Any other
-    witness, the projection a wall certificate answers with included,
-    takes the apartment search and ``retraction``.  Either way the
-    prediction is read off xi alone, independently of the orbit.
-    A gate target below 1 certifies nothing and raises ValueError.
+    the element fixes, and its report is the `hypothesis` field.  The
+    prediction is read off xi and that report alone, independently of
+    the orbit, with no draw from a random stream.  A gate target below 1
+    certifies nothing and raises ValueError.
     """
     ctx = xi.ctx
     if not xi.is_chamber():
@@ -703,8 +675,6 @@ def limit_boundary(
         raise ValueError("gate target must be at least 1, got %r" % (r_target,))
     if base is None:
         base = (0,) * ctx.n
-    if rng is None:
-        rng = random.Random(65537)
     g = cert.element
 
     report = assumption_check(cert, xi)
@@ -738,11 +708,7 @@ def limit_boundary(
         )
 
     witness = report.witness
-    if witness is cert.sigma_minus:
-        eta = _frame_retraction(cert, report.min_rep_word)
-    else:
-        eta = _apartment_retraction(cert, witness, xi, rng)
-
+    eta = _predicted_limit(cert, report, xi)
     x0 = xi.translate(T)
     eta_c = eta.translate(T)
     r0 = _radius(x0, eta_c)
@@ -818,8 +784,6 @@ def verify_transit(
     for t in targets:
         if not opposite(sp, t):
             raise ValueError("target is not opposite the attracting simplex")
-        if t.dims != sm.dims:
-            raise ValueError("agreement gate needs simplices of equal type")
 
     # the gate centre and the pull-backs do not depend on the target
     T = _centre(sm.ctx, measure.base)

@@ -20,12 +20,14 @@ from buildinglab.building import (
     GroupContext,
     IdealSimplex,
     Mat,
+    big_cell_frame,
     boundary_simplex,
     cartan_decomposition,
+    chamber_of,
     iwasawa_decomposition,
     mat_agreement,
+    opposite,
     retraction,
-    weyl_distance,
 )
 from buildinglab.building import (
     _canonical_flag,
@@ -42,7 +44,6 @@ from buildinglab.building import (
 )
 from buildinglab.coxeter import CARTAN, CoxeterSystem, WeylElement, get_system
 from buildinglab.dynamics import (
-    _frame_retraction,
     _radius,
     characteristic_polynomial,
     classify,
@@ -1235,7 +1236,7 @@ _REGULAR_EXPS = {2: ((1, -1), (-2, 1)), 3: ((1, 0, -1), (0, -2, 1)),
 def _starts(ctx, certs, rng, count):
     """(cert, xi, seed): count chambers drawn by each of random_gl_zp,
     random_element and random_iwahori for each certificate, with a seed
-    for the rng of its limit."""
+    for the stream the frozen apartment search draws from."""
     for cert in certs:
         for draw in (ctx.random_gl_zp, ctx.random_element, ctx.random_iwahori):
             for _ in range(count):
@@ -1260,43 +1261,93 @@ def _wall_limits():
         yield from _starts(ctx, [classify(ctx.diag(exps))], rng, 2)
 
 
-def _frame_retractions():
-    """(cert, xi): the chambers of the regular hypothesis row's regular
-    diagonal certificates."""
-    return ((cert, xi) for cert, xi, _ in _regular_limits()
-            if cert.is_regular() and cert.element._shifts is not None)
-
-
-def _limit_view(cert, rep, rng):
+def _limit_view(rep):
     """Every field of a limit report and its hypothesis, simplices by
-    _simplex_fields, and the state of the rng the call drew from.  A
-    witness holding an approximate zero is seen as the chamber the
-    certificate answers with, when that agrees with witness and core on
-    every digit they claim: the repelling chamber of a regular
-    certificate, and the projection, which is the core, of any other."""
+    _simplex_fields.  A witness holding an approximate zero is seen as
+    the projection, which is the core, when that agrees with it on every
+    digit it claims."""
     h = rep.hypothesis
     witness, core = h.witness, h.core
-    answer = cert.sigma_minus if cert.is_regular() else core
     if (witness is not None and holds_approximate_zero(witness)
-            and _within_claimed_digits(answer, witness)
-            and _within_claimed_digits(answer, core)):
-        witness = core = answer
+            and _within_claimed_digits(core, witness)):
+        witness = core
     simplices = (rep.limit, rep.retraction_value, witness, core)
     return SimpleNamespace(seen=[
         rep.status, rep.trace, rep.first_n, rep.monotone, rep.r_target,
         rep.witness is h.witness, h.satisfied, h.residue_overlap, h.min_rep_word,
-        rng.getstate(), [None if t is None else _simplex_fields(t.ctx, t) for t in simplices]])
+        [None if t is None else _simplex_fields(t.ctx, t) for t in simplices]])
 
 
 def _limit(run):
     """One side of the hypothesis rows: limit_boundary through run,
     under a gate target of at least 1, seen through _limit_view."""
     def side(cert, xi, seed):
-        rng = random.Random(seed)
-        rep = run(lambda: limit_boundary(
-            cert, xi, r_target=max(1, xi.ctx.precision // 2), rng=rng))
-        return _limit_view(cert, rep, rng)
+        return _limit_view(run(lambda: limit_boundary(
+            cert, xi, r_target=max(1, xi.ctx.precision // 2))))
     return side
+
+
+class _Claimed:
+    """A predicted chamber up to the digits it claims, or None where there
+    is none: the hypothesis fails, or the working precision runs out.  A
+    live prediction equals its reference when it answers wherever the
+    reference does, and where both answer the two have one type and each
+    entry agrees with the other's on every digit both claim."""
+
+    def __init__(self, chamber):
+        self.chamber = chamber
+
+    def __eq__(self, reference):
+        a, b = self.chamber, reference.chamber
+        return b is None or (a is not None and a.dims == b.dims
+                             and not _diff_floor(a.canon, b.canon)[1])
+
+    def __repr__(self):
+        return "_Claimed(%r)" % (self.chamber,)
+
+
+def _prediction(cert, xi, seed):
+    """The limit limit_boundary reports as its retraction value for xi."""
+    try:
+        rep = limit_boundary(cert, xi, max_n=0, r_target=1)
+    except PrecisionExhausted:
+        return _Claimed(None)
+    return _Claimed(rep.retraction_value)
+
+
+def _ref_apartment_retraction(cert, witness, xi, rng):
+    """The retraction of xi onto an apartment through the attracting
+    simplex and the witness chamber, centred at the witness: the first
+    chamber tried is the one the attracting simplex's representative
+    spans, and up to 11 more chambers through that simplex are drawn from
+    rng."""
+    ctx = xi.ctx
+    for attempt in range(12):
+        if attempt == 0:
+            E = chamber_of(cert.sigma_plus)
+        else:
+            q = ctx.random_parabolic_element(rng, cert.sigma_plus.dims, integral=True)
+            E = boundary_simplex(cert.sigma_plus.canon * q, ctx.full_dims)
+        if opposite(E, witness):
+            return retraction(big_cell_frame(E, witness), ctx.weyl.longest_element(), xi)
+    raise PrecisionExhausted("no apartment through the attracting simplex and the witness")
+
+
+def _searched_retraction(cert, xi, seed):
+    """The retraction value as limit_boundary reported it with the
+    apartment search: none where the hypothesis fails, xi where the
+    element fixes it, and otherwise the retraction onto the apartment the
+    search finds through the attracting simplex and the witness, its
+    draws from a stream of the given seed."""
+    try:
+        rep = dynamics.assumption_check(cert, xi)
+        if not rep.satisfied:
+            return _Claimed(None)
+        if xi.translate(cert.element).same(xi):
+            return _Claimed(xi)
+        return _Claimed(_ref_apartment_retraction(cert, rep.witness, xi, random.Random(seed)))
+    except PrecisionExhausted:
+        return _Claimed(None)
 
 
 def _least_sqrt_mod_p(a, p):
@@ -1444,11 +1495,7 @@ ROWS = {
             _limit(lambda call: call()), _limit(full_path), _regular_limits),
         Row("test_wall_hypothesis_matches_full_path",
             _limit(lambda call: call()), _limit(full_path), _wall_limits),
-        Row("test_frame_retraction_matches_retraction",
-            lambda cert, xi: _simplex_fields(xi.ctx, _frame_retraction(
-                cert, weyl_distance(cert.sigma_minus, xi).word)),
-            lambda cert, xi: _simplex_fields(xi.ctx, retraction(
-                cert.frame, xi.ctx.weyl.longest_element(), xi)),
-            _frame_retractions),
+        Row("test_limit_prediction_matches_apartment_retraction",
+            _prediction, _searched_retraction, _chain(_regular_limits, _wall_limits)),
     ),
 }

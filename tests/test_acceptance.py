@@ -21,12 +21,16 @@ from buildinglab.coxeter import (
 from buildinglab.building import (
     AffineWeylCoset,
     GroupContext,
+    big_cell_frame,
     boundary_simplex,
     cartan_decomposition,
+    chamber_of,
     iwahori_coset,
     iwasawa_decomposition,
     mat_agreement,
+    opposite,
     parabolic_membership,
+    retraction,
     unipotent_radical_element,
 )
 from buildinglab.dynamics import (
@@ -158,20 +162,41 @@ def test_3_translation_type_round_trip():
 
 
 def _sampled_limits(ctx, cert, rng, want):
-    """Limit reports of the first `want` sampled chambers that satisfy the
-    axis hypothesis; limit_boundary checks it, once per chamber."""
+    """(chamber, limit report) of the first `want` sampled chambers that
+    satisfy the axis hypothesis; limit_boundary checks it, once per
+    chamber."""
     # integral translates reach every boundary chamber and keep the flag
     # coordinates shallow enough to certify near working precision
     kept = 0
     for _ in range(40 * want):
         xi = ctx.c_plus.translate(ctx.random_gl_zp(rng))
-        rep = limit_boundary(cert, xi, max_n=64, r_target=N - 4, rng=rng)
+        rep = limit_boundary(cert, xi, max_n=64, r_target=N - 4)
         if rep.hypothesis.satisfied:
-            yield rep
+            yield xi, rep
             kept += 1
             if kept == want:
                 return
     raise AssertionError("chamber sampler starved")
+
+
+def _independent_retraction(cert, witness, xi, rng):
+    """The retraction of xi onto an apartment through the attracting
+    simplex and the witness, centred at the witness, read off a Bruhat
+    cell of its own: the apartment of the witness and the chamber that the
+    attracting simplex's representative spans, or else one of up to 11
+    chambers through that simplex drawn from rng, whichever is first
+    opposite the witness."""
+    ctx = xi.ctx
+    sp = cert.sigma_plus
+    for attempt in range(12):
+        if attempt == 0:
+            E = chamber_of(sp)
+        else:
+            q = ctx.random_parabolic_element(rng, sp.dims, integral=True)
+            E = boundary_simplex(sp.canon * q, ctx.full_dims)
+        if opposite(E, witness):
+            return retraction(big_cell_frame(E, witness), ctx.weyl.longest_element(), xi)
+    raise AssertionError("no apartment through the attracting simplex and the witness")
 
 
 def test_4_boundary_limits_match_retraction():
@@ -187,13 +212,17 @@ def test_4_boundary_limits_match_retraction():
         cert = classify(ctx.diag(exps))
         rng = random.Random(20011 + ci)
         converged = 0
-        for rep in _sampled_limits(ctx, cert, rng, 50):
+        for xi, rep in _sampled_limits(ctx, cert, rng, 50):
+            # the retraction is computed here, apart from the prediction;
+            # its draws come between two chambers of the sampled stream
+            witness = rep.hypothesis.witness
             good = (
                 rep.status == "converged"
                 and rep.monotone
                 and rep.first_n is not None
                 and rep.first_n <= 64
                 and rep.limit.same(rep.retraction_value, N - 4)
+                and rep.limit.same(_independent_retraction(cert, witness, xi, rng), N - 4)
             )
             ok = ok and good
             converged += good

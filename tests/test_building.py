@@ -302,31 +302,6 @@ def test_canonical_form_is_a_projection(precision):
     assert checked > 1200
 
 
-@pytest.mark.parametrize("precision", [4, 8, 32])
-def test_face_of_its_own_dimensions_is_the_simplex(precision):
-    """By the projection, a simplex's face of its own dimensions is the
-    simplex itself, computing no flag; a representative with an entry
-    finer than the working precision is canonicalised again."""
-    checked = 0
-    for ctx, g, dims in flags(precision, 200 + precision):
-        try:
-            s = boundary_simplex(g, dims)
-        except PrecisionExhausted:
-            continue
-        assert s.face(dims) is s
-        checked += 1
-    assert checked > 1200
-    ctx = GroupContext(2, 3, 4)
-    g = Mat(ctx, [[PadicScalar(3, 0, 1, 9), ctx.zero],
-                  [PadicScalar(3, 0, 2, 9), ctx.one]])
-    s = boundary_simplex(g, (1,))
-    assert s.canon[1, 0].N == 9
-    face = s.face((1,))
-    assert face is not s
-    assert raw(face.canon) == raw(_canonical_flag(ctx, s.canon, (1,)))
-    assert face.canon[1, 0].N == 4
-
-
 def test_identity_translate_of_finer_entries_takes_the_full_path():
     # an entry with more digits than the working precision: the identity
     # product cuts it, so translate must not return the simplex as it is

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from buildinglab.cli import (
     _ROOT,
     _SCHEMA,
+    _json_val,
     KIND_OF_SUBCOMMAND,
     KINDS,
     ConfigError,
@@ -30,7 +32,7 @@ from buildinglab.cli import (
     run,
 )
 from buildinglab import building, dynamics
-from buildinglab.building import _MAX_UNIT_BITS, GroupContext
+from buildinglab.building import _MAX_UNIT_BITS, GroupContext, mat_agreement
 from buildinglab.padic import PrecisionExhausted
 
 N = 32
@@ -455,39 +457,56 @@ def test_diagonal_shortcut_traffic_at_seed_0(monkeypatch, preset):
     assert (answers.count(True), answers.count(False)) == _DIAGONAL_TRAFFIC[preset]
 
 
-# (records whose hypothesis the certificate or its projection answers,
-# records, apartment frames built) of each dynamics preset at its own seed:
-# a regular element answers every record and retracts onto its
-# certificate's frame; the wall element, an exact diagonal, answers every
-# record from the projection and searches an apartment for each.  An
+# (records whose hypothesis the projection answers, records) of each
+# dynamics preset at its own seed: the regular elements and the wall
+# element, an exact diagonal, answer every record from the projection.  An
 # answered record's witness is its core: the full path's witness is a
 # stable refinement, built anew.
 _REGULAR_SHORTCUT = {
-    "sl2-q3-dynamics": (50, 50, 0),
-    "sl3-q3-dynamics": (50, 50, 0),
-    "sl3-q3-wall-dynamics": (50, 50, 50),
+    "sl2-q3-dynamics": (50, 50),
+    "sl3-q3-dynamics": (50, 50),
+    "sl3-q3-wall-dynamics": (50, 50),
 }
 
 
 @pytest.mark.parametrize("preset", sorted(_REGULAR_SHORTCUT))
 def test_regular_shortcut_records_at_seed_0(monkeypatch, preset):
-    answered, frames = [], []
-    real_check, real_frame = dynamics.assumption_check, dynamics.big_cell_frame
+    answered = []
+    real = dynamics.assumption_check
 
     def recorded(cert, beta):
-        rep = real_check(cert, beta)
+        rep = real(cert, beta)
         answered.append(rep.witness is not None and rep.witness is rep.core)
         return rep
 
-    def counted(*args):
-        frames.append(1)
-        return real_frame(*args)
-
     monkeypatch.setattr(dynamics, "assumption_check", recorded)
-    monkeypatch.setattr(dynamics, "big_cell_frame", counted)
     code, _ = run(parse_config(dict(PRESETS[preset])))
     assert code == 0
-    assert (answered.count(True), len(answered), len(frames)) == _REGULAR_SHORTCUT[preset]
+    assert (answered.count(True), len(answered)) == _REGULAR_SHORTCUT[preset]
+
+
+def test_wall_dynamics_records_do_not_depend_on_each_other():
+    """Each record of the wall preset at offset 7 is limit_boundary on the
+    chamber of its index that a fresh stream of the run's seed draws: no
+    record draws from the stream for its prediction, so no record moves
+    the chambers of the records after it."""
+    preset = PRESETS["sl3-q3-wall-dynamics"]
+    seed = preset["seed"] + 7
+    code, body = run(parse_config(dict(preset, seed=seed)))
+    assert code == 0
+    ctx = GroupContext(3, 3, N)
+    cert = dynamics.classify(ctx.diag((1, 1, -2)))
+    rng = random.Random(seed)
+    records = body["result"]["records"]
+    assert len(records) == preset["chambers"]
+    for i, row in enumerate(records):
+        xi = ctx.c_plus.translate(ctx.random_gl_zp(rng))
+        lim = dynamics.limit_boundary(cert, xi, max_n=preset["max_n"], r_target=N - 4)
+        assert row["index"] == i and row["status"] == lim.status
+        assert row["first_n"] == lim.first_n and row["monotone"] == lim.monotone
+        assert row["trace"] == [[n, _json_val(r)] for n, r in lim.trace]
+        assert row["retraction_agreement"] == _json_val(
+            mat_agreement(lim.limit.canon, lim.retraction_value.canon))
 
 
 def _with(preset, **fields):

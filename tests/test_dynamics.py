@@ -16,6 +16,7 @@ import pytest
 from buildinglab import building, dynamics
 from buildinglab.building import (
     GroupContext,
+    Mat,
     boundary_simplex,
     chamber_of,
     opposite,
@@ -37,7 +38,16 @@ from buildinglab.dynamics import (
 )
 from buildinglab.dynamics import _mat_power
 from buildinglab.padic import INF, PadicScalar, PrecisionExhausted
-from reference import ROWS, draws, full_path, holds_approximate_zero, raw, row_tests
+from reference import (
+    ROWS,
+    _Claimed,
+    _ref_apartment_retraction,
+    absolute_precision,
+    draws,
+    full_path,
+    raw,
+    row_tests,
+)
 
 N = 32
 
@@ -457,8 +467,9 @@ def test_regular_hypothesis_of_a_simplex_that_is_no_chamber_takes_the_full_path(
 
 def test_regular_hypothesis_grid_reaches_every_case():
     """The grid of the regular hypothesis row reaches the certificate's
-    answer where the full path's witness is bit for bit the repelling
-    chamber and where it holds an approximate zero, the projection's
+    answer, where the full path's witness is bit for bit the repelling
+    chamber (the full path projects onto that chamber's star, which is
+    the chamber itself, so no approximate zero enters), the projection's
     answer for a wall certificate of an exact diagonal, and the full path
     for a wall certificate whose Levi block rotates by units and for a
     regular one in a frame the caller supplied."""
@@ -472,18 +483,15 @@ def test_regular_hypothesis_grid_reaches_every_case():
         except PrecisionExhausted:
             continue
         if rep.witness is cert.sigma_minus:
-            if holds_approximate_zero(full.witness):
-                cases.append("approximate")
-            else:
-                assert raw(full.witness.canon) == raw(cert.sigma_minus.canon)
-                cases.append("exact")
+            assert raw(full.witness.canon) == raw(cert.sigma_minus.canon)
+            cases.append("exact")
         elif rep.witness is not None and rep.witness is rep.core:
             assert cert.wall_type and cert.element._shifts is not None
             cases.append("wall")
         else:
             assert full.witness is not full.core
             cases.append("rotation" if cert.wall_type else "frame")
-    assert set(cases) == {"exact", "approximate", "wall", "rotation", "frame"}
+    assert set(cases) == {"exact", "wall", "rotation", "frame"}
 
 
 def test_levi_rotation_never_takes_the_projection_answer(monkeypatch):
@@ -503,14 +511,62 @@ def test_levi_rotation_never_takes_the_projection_answer(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_fixed_star", recorded)
     rng = random.Random(20011)
-    reports = [limit_boundary(cert, ctx.c_plus.translate(ctx.random_gl_zp(rng)),
-                              max_n=4, rng=rng) for _ in range(30)]
+    reports = [limit_boundary(cert, ctx.c_plus.translate(ctx.random_gl_zp(rng)), max_n=4)
+               for _ in range(30)]
     assert answers == [False] * 30
     assert [rep.hypothesis.satisfied for rep in reports] == [False] * 30
     assert {rep.status for rep in reports} == {"hypothesis-not-satisfied"}
 
 
 # -- limits of iterated chambers -----------------------------------------------------
+
+
+def _lifted(ctx, s):
+    """s in ctx, a context of more digits: the digits each entry knows,
+    and zeros beyond them."""
+    rows = [[PadicScalar(ctx.p, x.v, x.unit, ctx.precision) if x.unit else ctx.zero
+             for x in row] for row in s.canon.rows]
+    return boundary_simplex(Mat(ctx, rows), s.dims)
+
+
+def _claims_agree(s, t, depth):
+    """Does t agree with s on every digit below depth that s claims?"""
+    return all((x - y).val_floor() >= min(absolute_precision(x), depth)
+               for a, b in zip(s.canon.rows, t.canon.rows) for x, y in zip(a, b))
+
+
+def test_limit_prediction_keeps_the_digits_the_apartment_search_loses():
+    """Taken apart from limit_boundary's fixed-start test, the prediction
+    and the frozen apartment search disagree on a digit both claim at 7
+    starts of the prediction row's grid, all at N <= 4 under exact
+    diagonals.  At each, the prediction agrees, on every digit below 40
+    that it claims, with the first iterate of the start lifted to 64
+    digits that agrees with the prediction there to 40 digits, and the
+    search's retraction does not."""
+    (row,) = [r for r in ROWS["test_dynamics"]
+              if r.name == "test_limit_prediction_matches_apartment_retraction"]
+    disagree = 0
+    for cert, xi, seed in row.grid():
+        try:
+            rep = assumption_check(cert, xi)
+            if not rep.satisfied:
+                continue
+            predicted = dynamics._predicted_limit(cert, rep, xi)
+            searched = _ref_apartment_retraction(cert, rep.witness, xi, random.Random(seed))
+        except PrecisionExhausted:
+            continue
+        if _Claimed(predicted) == _Claimed(searched):
+            continue
+        disagree += 1
+        ctx = xi.ctx
+        assert ctx.precision <= 4 and cert.element._shifts is not None
+        deep = GroupContext(ctx.n, ctx.p, 64)
+        lim = limit_boundary(classify(deep.diag(cert.element._shifts)), _lifted(deep, xi),
+                             max_n=200, r_target=40)
+        assert lim.status == "converged"
+        assert _claims_agree(predicted, lim.limit, 40)
+        assert not _claims_agree(searched, lim.limit, 40)
+    assert disagree == 7
 
 
 def test_limit_boundary_sl2_trace_oracle():
@@ -548,15 +604,16 @@ def test_limit_boundary_sl3_retraction_and_witness_independence():
     rng = random.Random(52)
     for exps in ((1, 0, -1), (1, 1, -2)):
         cert = classify(ctx.diag(exps))
-        for k in range(8):
+        for _ in range(8):
             xi = ctx.c_plus.translate(ctx.random_element(rng))
             rep = limit_boundary(cert, xi)
             assert rep.status == "converged"
             assert rep.monotone
             assert rep.limit.same(rep.retraction_value, int(rep.r_target))
-            # the retraction target does not depend on which apartment
-            # or witness chamber the run sampled
-            rep2 = limit_boundary(cert, xi, rng=random.Random(900 + k))
+            # the retraction target does not depend on the witness: the
+            # full path's stable refinement predicts the same limit
+            rep2 = full_path(limit_boundary, cert, xi)
+            assert rep2.hypothesis.witness is not rep.hypothesis.witness
             assert rep2.retraction_value.same(
                 rep.retraction_value, int(rep.r_target) - 4
             )
@@ -721,6 +778,20 @@ def test_verify_transit_guards():
     with pytest.raises(ValueError):
         # the attracting vertex itself is not opposite it
         verify_transit(certs, measure, [certs[0].sigma_plus])
+
+
+def test_verify_transit_refuses_a_target_of_the_wrong_type():
+    """Opposite simplices have dual types, so a target whose type is not
+    the repelling simplex's is refused as not opposite: a chamber through
+    the repelling plane of a wall family, and that chamber's line."""
+    ctx = GroupContext(3, 3)
+    certs = [classify(ctx.diag((n, n, -2 * n))) for n in (1, 2)]
+    sm = certs[0].sigma_minus
+    assert sm.dims == (2,)
+    chamber = chamber_of(sm)
+    for target in (chamber, chamber.face((1,))):
+        with pytest.raises(ValueError, match="^target is not opposite the attracting simplex$"):
+            verify_transit(certs, GateMeasure((0, 0, 0), 3), [target])
 
 
 @pytest.mark.parametrize("shift", [0, -2, -6])
