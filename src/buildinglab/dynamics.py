@@ -23,8 +23,8 @@ each family element once, not once per target.  Recentring at the
 origin is free: there ``_centre`` returns the shared ``ctx.identity``,
 which ``IdealSimplex.translate`` maps to the simplex itself, so at base
 ``(0, ..., 0)`` no recentring computes a flag.  ``assumption_check``
-moves the gate face into frame coordinates once for both the
-block-splitting test and the stable refinement.
+splits each member of the gate face's flag across the eigen classes
+once, and that one split both decides fixedness and builds the witness.
 
 The hypothesis check for a chamber has one shortcut, for a certificate
 whose repelling simplex is a coordinate simplex, every entry of its
@@ -36,7 +36,8 @@ element fixes every chamber of the repelling simplex's star, so the
 projection of the chamber is core and witness; for a regular
 certificate that star is the repelling chamber alone.  Every other
 certificate (a Levi rotation by units, a frame the caller supplies)
-takes the full projection, block test and stable refinement.
+takes the full projection and the split across the eigen classes,
+which decides fixedness with no comparison depth.
 
 ``limit_boundary`` predicts the limit by one formula for every witness
 (``_predicted_limit``): the retraction of the start chamber onto an
@@ -419,17 +420,6 @@ def _rows_of_columns(cols: List[List[PadicScalar]], keep=None):
     return [[col[i] for col in cols] for i in idx]
 
 
-def _slope_blocks(cert: HyperbolicCertificate) -> List[List[int]]:
-    asc = tuple(reversed(cert.exps))
-    blocks: List[List[int]] = []
-    for i, v in enumerate(asc):
-        if blocks and asc[i - 1] == v:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
-
-
 def _eigen_classes(cert: HyperbolicCertificate) -> List[List[int]]:
     vals = cert.eigen_values
     classes: List[List[int]] = []
@@ -446,68 +436,50 @@ def _eigen_classes(cert: HyperbolicCertificate) -> List[List[int]]:
     return classes
 
 
-def _block_adapted(cert: HyperbolicCertificate, s_f: IdealSimplex) -> bool:
-    """Every flag subspace splits across the valuation blocks of the frame.
-
-    s_f is the simplex in frame coordinates, frame^-1 . s.
-    """
-    ctx = s_f.ctx
-    n = ctx.n
-    blocks = _slope_blocks(cert)
-    for d in s_f.dims:
-        cols = _columns(s_f.canon, d)
-        total = 0
-        for blk in blocks:
-            outside = [i for i in range(n) if i not in blk]
-            total += d - matrix_rank(ctx, _rows_of_columns(cols, outside))
-        if total != d:
-            return False
-    return True
-
-
 def _stable_refinement(
     cert: HyperbolicCertificate, s_f: IdealSimplex
-) -> IdealSimplex:
-    """Chamber containing tau, adapted to the frame and fixed by the element.
+) -> Optional[IdealSimplex]:
+    """Chamber containing tau, split across the eigen classes of the frame
+    and fixed by the element, or None when the element does not fix tau.
 
-    s_f is tau in frame coordinates, frame^-1 . tau.  The chamber is
-    built there by extending each flag member one eigenvector at a time:
-    a new direction is always drawn from the intersection of the next
-    member with a single eigenvalue class, so every intermediate
-    subspace stays invariant and block-split.
+    s_f is tau in frame coordinates, frame^-1 . tau.  The element fixes
+    tau exactly when every flag member of s_f is the sum of its
+    intersections with the eigen classes.  Each member's intersections
+    are computed once.  ``kernel_basis`` never undercounts one (the rank
+    it inverts never overcounts), so intersection dimensions that add up
+    to less than the member's dimension certainly say "not fixed", and
+    None is returned, at every precision.  Otherwise the chamber is
+    built by extending the chain one eigenvector at a time, each drawn
+    from the intersection of the next member with a single eigen class,
+    so every intermediate subspace stays invariant and split; only a
+    chain that can take no independent vector raises.
     """
     ctx = s_f.ctx
     n = ctx.n
-    classes = _eigen_classes(cert)
+    outsides = [[i for i in range(n) if i not in cls]
+                for cls in _eigen_classes(cert)]
     chain: List[List[PadicScalar]] = []
-    checkpoints = list(s_f.dims) + [n]
-    for d_next in checkpoints:
+    for d_next in list(s_f.dims) + [n]:
         target = _columns(s_f.canon, d_next)
+        parts = [
+            [_combine_columns(target, x)
+             for x in kernel_basis(ctx, _rows_of_columns(target, out), d_next)]
+            for out in outsides
+        ]
+        if sum(len(inter) for inter in parts) < d_next:
+            return None
         while len(chain) < d_next:
-            progressed = False
-            for cls in classes:
-                outside = [i for i in range(n) if i not in cls]
-                ker = kernel_basis(
-                    ctx, _rows_of_columns(target, outside), len(target)
-                )
-                inter = [_combine_columns(target, x) for x in ker]
-                if chain:
-                    cur = len(chain) - matrix_rank(
-                        ctx, _rows_of_columns(chain, outside)
-                    )
-                else:
-                    cur = 0
-                if len(inter) <= cur:
+            for out, inter in zip(outsides, parts):
+                # the chain's dimension in this class, 0 for an empty chain
+                have = len(chain) - matrix_rank(ctx, _rows_of_columns(chain, out))
+                if len(inter) <= have:
                     continue
-                for v in inter:
-                    cand = chain + [v]
-                    if matrix_rank(ctx, _rows_of_columns(cand)) == len(cand):
-                        chain.append(v)
-                        progressed = True
-                        break
-                if progressed:
+                v = next((v for v in inter if matrix_rank(
+                    ctx, _rows_of_columns(chain + [v])) == len(chain) + 1), None)
+                if v is not None:
+                    chain.append(v)
                     break
-            if not progressed:
+            else:
                 raise PrecisionExhausted(
                     "could not refine a fixed chamber at working precision"
                 )
@@ -524,8 +496,9 @@ class AssumptionReport(_Record):
     core is the face of the gate chamber whose star is the full
     projected residue; the test asks whether that star meets the
     boundary of the minimal displacement set, which happens exactly
-    when core itself is block-adapted and fixed.  witness is a fixed
-    adapted chamber of that star when the answer is yes.
+    when the element fixes core, that is when core splits across the
+    eigen classes of the frame.  witness is a fixed split chamber of
+    that star when the answer is yes.
     """
 
     satisfied: bool
@@ -561,25 +534,24 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
 
     Projects the chamber of beta onto the star of the repelling
     simplex, cuts the projected residue out via the minimal double
-    coset representative, and tests its core face for being both
-    block-adapted in the eigenframe and stabilized by the element.
-    Requires a certificate with a frame.
+    coset representative, and asks whether the element fixes its core
+    face: ``_stable_refinement`` splits the core across the eigen
+    classes of the frame, with no comparison depth, and its chamber is
+    the witness.  Requires a certificate with a frame.
 
     Where ``_fixed_star`` holds, every chamber of that star is fixed and
-    block-split, so for a chamber beta the answer is yes: the projection
-    f0 of beta is core and witness, and the Weyl distance from f0 to
-    beta is reduced as on the full path, with no block test, membership
-    translate or stable refinement.  For a regular certificate the
-    repelling simplex is a chamber, whose star is itself, and
-    ``project_to_star`` returns it as f0.  Every other case (beta no
-    chamber, a Levi rotation by units, a frame the caller supplied)
-    takes the full path.
+    split across the eigen classes, so for a chamber beta the answer is
+    yes: the projection f0 of beta is core and witness, and the Weyl
+    distance from f0 to beta is reduced as on the full path, with no
+    split.  For a regular certificate the repelling simplex is a
+    chamber, whose star is itself, and ``project_to_star`` returns it as
+    f0.  Every other case (beta no chamber, a Levi rotation by units, a
+    frame the caller supplied) takes the full path.
     """
     if cert.frame is None:
         raise ValueError("hypothesis check needs an eigenframe certificate")
     ctx = beta.ctx
     sm = cert.sigma_minus
-    depth = ctx.precision - 8
     c0 = chamber_of(beta)
     f0 = project_to_star(sm, c0)
     w_fc = weyl_distance(f0, c0)
@@ -590,14 +562,8 @@ def assumption_check(cert: HyperbolicCertificate, beta: IdealSimplex) -> Assumpt
     if _fixed_star(cert, beta):
         return AssumptionReport(True, f0, f0, K, w1.word)
     tau = f0.face(dims_of_type(ctx.n, K))
-    tau_f = tau.translate(cert.frame.inv())
-    ok = _block_adapted(cert, tau_f) and parabolic_membership(
-        cert.element, tau, depth
-    )
-    if not ok:
-        return AssumptionReport(False, None, tau, K, w1.word)
-    witness = _stable_refinement(cert, tau_f)
-    return AssumptionReport(True, witness, tau, K, w1.word)
+    witness = _stable_refinement(cert, tau.translate(cert.frame.inv()))
+    return AssumptionReport(witness is not None, witness, tau, K, w1.word)
 
 
 # -- iterated boundary dynamics ----------------------------------------------

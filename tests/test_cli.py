@@ -426,13 +426,30 @@ def test_dynamics_runs_out_of_digits_at_offset_7(monkeypatch):
     assert answers[-1] is False and True in answers
 
 
+@pytest.mark.parametrize("precision,digest", [(8, None), (16, "dd42b77c750ae1c2")])
+def test_levi_rotation_wall_dynamics_exits_0(tmp_path, capsys, precision, digest):
+    """The wall preset with a Levi block rotating by the units 4 and 7 at
+    the default gate target: the hypothesis check decides every record,
+    with no depth, so a short window still ends in a report."""
+    cfg = tmp_path / "levi.json"
+    cfg.write_text(json.dumps(_with("sl3-q3-wall-dynamics",
+                                    element={"units": [4, 7, 1]})))
+    out = tmp_path / "r"
+    assert main(["dynamics", "--config", str(cfg), "--precision", str(precision),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    body = json.load(open(out / "report.json"))
+    assert body["meta"]["outcome"] == {"attempted": 50, "refuted": 0, "reason": None}
+    assert digest is None or body["meta"]["determinism_hash"].startswith(digest)
+
+
 # (answers, hand-overs) of the diagonal shortcut at each preset's own seed.
 # 6 of the 20 targets sl2-q3-transit draws have a unipotent radical element
 # with no entry drawn; it is the shared identity, by which a translate is
-# free, with no flag and no shortcut.  No dynamics preset makes a
-# membership translate in the hypothesis check: the regular certificates
-# answer it, and the wall element, an exact diagonal, answers it from the
-# projection.
+# free, with no flag and no shortcut.  The hypothesis check makes no
+# membership translate: the regular certificates answer it, the wall
+# element, an exact diagonal, answers it from the projection, and every
+# other certificate splits the core across its eigen classes.
 _DIAGONAL_TRAFFIC = {
     "sl2-q3-dynamics": (640, 28),
     "sl3-q3-dynamics": (1366, 72),

@@ -518,6 +518,38 @@ def test_levi_rotation_never_takes_the_projection_answer(monkeypatch):
     assert {rep.status for rep in reports} == {"hypothesis-not-satisfied"}
 
 
+def test_levi_rotation_verdict_does_not_depend_on_precision():
+    """The hypothesis check decides whether the Levi rotation fixes the
+    core by splitting it across the eigen classes, with no depth: starts
+    drawn at 32 digits and rebuilt from their integer entries get the
+    32-digit verdict at every precision from 6 up, and none raises.  At
+    32 digits the verdict agrees with the membership translate, and a
+    witness is fixed."""
+    deep = GroupContext(3, 3, N)
+    rng = random.Random(2136)
+    perms = list(itertools.permutations(range(3)))
+
+    def ints(g):
+        return [[x.unit * deep.p ** x.v if x.unit else 0 for x in row] for row in g.rows]
+
+    starts = [ints(deep.perm(rng.choice(perms))
+                   * deep.random_parabolic_element(rng, ((1,), (2,))[i % 2], integral=True))
+              for i in range(60)]
+    starts += [ints(deep.random_gl_zp(rng)) for _ in range(40)]
+    verdicts = {}
+    for precision in (6, 8, 10, 12, 16, 32):
+        ctx = GroupContext(3, 3, precision)
+        cert = classify(ctx.diag((1, 1, -2), units=(4, 7, 1)))
+        reports = [assumption_check(cert, ctx.c_plus.translate(ctx.mat(e))) for e in starts]
+        verdicts[precision] = [rep.satisfied for rep in reports]
+    for rep in reports:
+        assert parabolic_membership(cert.element, rep.core) == rep.satisfied
+        assert rep.witness is None or parabolic_membership(cert.element, rep.witness)
+    truth = verdicts[32]
+    assert (truth[:60].count(True), truth[60:].count(True)) == (43, 2)
+    assert all(v == truth for v in verdicts.values())
+
+
 # -- limits of iterated chambers -----------------------------------------------------
 
 
