@@ -61,18 +61,18 @@ random stream, as building every draw and testing its p-adic determinant.
 ``(v, unit, N)`` integers of their entries and subtracts them through
 ``_fold``, with the entries the scalar operators give.  The canonical form
 is a projection, so ``IdealSimplex.translate`` returns a simplex unchanged
-for the shared ``ctx.identity``, and ``IdealSimplex.face`` for the
-simplex's own dimensions.  A chamber translated by an exact
+for the shared ``ctx.identity``.  A chamber translated by an exact
 diagonal of its own context, as ``GroupContext.diag`` builds it without
 units, the step of every boundary orbit, skips the product and the flag
 where ``_diagonal_canon`` finds that the flag would make no row step and
 no pivot division, with a bit-identical result.
 
-Elimination has one core.  ``_echelon_rows`` is the only Gauss-Jordan
-loop; rank, kernels and ``Mat.inv`` (which reduces [g | I]) run on it.
-It skips normalising a row by a pivot that is exactly 1, of the row's
-prime, when no entry of the row is more precise than the pivot, by
-``_canonical_flag``'s rule: that division changes no entry.
+Elimination has one core and two rules, each in one function.
+``_echelon_rows`` is the only Gauss-Jordan loop; rank, kernels and
+``Mat.inv`` (which reduces [g | I]) run on it.  The skip rule ``_clear``
+makes every row or column step there, in ``_clear_cross`` and in
+``_canonical_flag``, unless the entry is zeroish; the unit-pivot rule
+``_divides_nothing`` skips each pivot division that changes no entry.
 The decompositions reduce a working copy A of g with one pivot search
 and shared row and column operations.  These update tracked transforms:
 row steps keep g = left . A, column steps keep g = A . right, and a
@@ -370,6 +370,24 @@ def _sub_col(A, dst, src, c, right=None):
                       for x, y in zip(right[src], right[dst])]
 
 
+def _clear(step, A, dst, src, x, pinv=None, track=None) -> bool:
+    """The skip rule: clear entry x of line dst by ``step(A, dst, src,
+    x * pinv, track)``, or x itself for a pivot of 1 (pinv None), unless x
+    is zeroish; True when the step was made.  Today the rule treats an
+    approximate zero as zero, which can cost digits; ROADMAP item 1 step B
+    changes this one test."""
+    if x.is_zeroish():
+        return False
+    step(A, dst, src, x if pinv is None else x * pinv, track)
+    return True
+
+
+def _divides_nothing(x, line, p: int) -> bool:
+    """The unit-pivot rule: dividing line by its pivot x changes no entry when
+    x is exactly 1 and no entry is more precise than x or of a prime not p."""
+    return x.unit == 1 and x.v == 0 and all(e.N <= x.N and e.p == p for e in line)
+
+
 def _swap_rows(A, i, j, left=None):
     A[i], A[j] = A[j], A[i]
     if left is not None:
@@ -393,12 +411,10 @@ def _clear_cross(ctx, A, pi, pj, rows, cols, left, right):
     """
     pinv = A[pi][pj].inv()
     for i in rows:
-        if i != pi and not A[i][pj].is_zeroish():
-            _sub_row(A, i, pi, A[i][pj] * pinv, left)
+        if i != pi and _clear(_sub_row, A, i, pi, A[i][pj], pinv, left):
             A[i][pj] = ctx.zero
     for j in cols:
-        if j != pj and not A[pi][j].is_zeroish():
-            _sub_col(A, j, pj, A[pi][j] * pinv, right)
+        if j != pj and _clear(_sub_col, A, j, pj, A[pi][j], pinv, right):
             A[pi][j] = ctx.zero
     return pinv
 
@@ -418,14 +434,12 @@ def _echelon_rows(ctx: "GroupContext", rows: List[List[PadicScalar]]):
             continue
         _swap_rows(R, r, piv[0])
         x = R[r][c]
-        # a pivot that is exactly 1 changes no entry at most as precise as
-        # itself, as in _canonical_flag
-        if x.unit != 1 or x.v != 0 or any(e.N > x.N or e.p != x.p for e in R[r]):
+        if not _divides_nothing(x, R[r], x.p):
             pinv = x.inv()
             R[r] = [e * pinv for e in R[r]]
         for i in range(m):
-            if i != r and not R[i][c].is_zeroish():
-                _sub_row(R, i, r, R[i][c])
+            if i != r:
+                _clear(_sub_row, R, i, r, R[i][c])
         pivots.append((r, c))
         r += 1
     return R, pivots
@@ -757,26 +771,23 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
     The zero and valuation tests, the primitivising scale by
     ``p**-floor`` and the pivot normalisation read and write the raw
     ``(v, unit, N)`` integers of the entries, with the fields the scalar
-    ``*`` would give; a normalisation by a pivot that is exactly 1 and
-    at least as precise as its column (and of its prime) changes no entry
-    and is skipped.
-    Row subtraction goes through ``_fold``.
+    ``*`` would give.  Every row step is ``_clear``'s, which skips a
+    zeroish entry, and the pivot normalisation is skipped where
+    ``_divides_nothing`` finds that it changes no entry.
     """
     n, p, N = ctx.n, ctx.p, ctx.precision
     pw = _powers(p, N)
     cols = [list(col) for col in zip(*g.rows)]
     free_rows = list(range(n))  # rows that are no pivot yet, ascending
-    pivot_rows: List[int] = []  # across all finished blocks, in block order
-    pivot_of_col: List[int] = [-1] * n
+    pivot_rows: List[int] = []  # across all blocks so far, in pick order
+    col_of_row: List[int] = [-1] * n  # the column of each pivot row
     lo = 0
     for hi in (*dims, n):
         block = range(lo, hi)
         # clear rows already used by earlier blocks
         for j in block:
             for r in pivot_rows:
-                c = cols[j][r]
-                if c.unit:
-                    _sub_row(cols, j, pivot_of_col.index(r), c)
+                if _clear(_sub_row, cols, j, col_of_row[r], cols[j][r]):
                     cols[j][r] = ctx.zero
         todo = list(block)  # unfinished columns, in block order
         while todo:
@@ -811,30 +822,25 @@ def _canonical_flag(ctx: GroupContext, g: Mat, dims: Tuple[int, ...]) -> Mat:
             # normalise the pivot column by the pivot, a unit of valuation 0
             col = cols[pc]
             u0, w0 = col[pr].unit, col[pr].N
-            if u0 != 1 or any(x.N > w0 or x.p != p for x in col):
-                pw0 = _powers(p, w0)
-                cols[pc] = col = _times(col, p, 0, _inv_unit(u0, p, w0), w0, pw0)
+            if not _divides_nothing(col[pr], col, p):
+                cols[pc] = col = _times(col, p, 0, _inv_unit(u0, p, w0), w0, _powers(p, w0))
             col[pr] = ctx.one
             for j in block:
-                if j == pc:
-                    continue
-                c = cols[j][pr]
-                if c.unit:
-                    _sub_row(cols, j, pc, c)
-                # the interpolation condition holds exactly by construction
-                cols[j][pr] = ctx.zero
+                if j != pc:
+                    _clear(_sub_row, cols, j, pc, cols[j][pr])
+                    # the interpolation condition holds exactly by construction
+                    cols[j][pr] = ctx.zero
             pivot_rows.append(pr)
             free_rows.remove(pr)
-            pivot_of_col[pc] = pr
+            col_of_row[pr] = pc
             todo.remove(pc)
         if hi - lo > 1:
             # order the block's columns by pivot row
-            block_sorted = sorted(block, key=lambda j: pivot_of_col[j])
-            reordered = [cols[j] for j in block_sorted]
-            pivots_sorted = [pivot_of_col[j] for j in block_sorted]
-            for k, j in enumerate(block):
-                cols[j] = reordered[k]
-                pivot_of_col[j] = pivots_sorted[k]
+            rows_sorted = sorted(pivot_rows[lo:])
+            reordered = [cols[col_of_row[r]] for r in rows_sorted]
+            for j, r, col in zip(block, rows_sorted, reordered):
+                cols[j] = col
+                col_of_row[r] = j
         lo = hi
     return Mat(ctx, zip(*cols))
 
@@ -864,8 +870,9 @@ def _times(col, p: int, shift: int, unit: int, cap: int, pw) -> List[PadicScalar
 
 def _diagonal_canon(ctx: GroupContext, canon: Mat, shifts: Sequence[int]) -> Optional[Mat]:
     """The canonical form of ``diag(p**shifts) * canon`` for a chamber,
-    the diagonal exact as ``ctx.diag`` builds it, or None where
-    ``_canonical_flag`` would make a row step, divide by a pivot or raise.
+    the diagonal exact as ``ctx.diag`` builds it, or None where the flag
+    would make a row step (``_clear``), divide by a pivot
+    (``_divides_nothing``) or raise.
 
     The product scales row i by ``p**k_i``: each entry's valuation moves
     by ``k_i``, its ``N`` stays and its unit is reduced modulo ``p**N``,
@@ -1083,17 +1090,10 @@ def cartan_decomposition(g: Mat) -> Tuple[Mat, Tuple[int, ...], Mat]:
     return K1, tuple(exps[i] for i in order), K2
 
 
-def iwasawa_decomposition(g: Mat, lower: bool = True) -> Tuple[Mat, Mat, Mat]:
-    """g = u * t * k: u unitriangular, t diagonal, k in GL_n(Z_p).
-
-    With lower=True, u is lower unitriangular (the decomposition adapted
-    to the descending flag); upper works through reversal conjugation.
-    """
+def iwasawa_decomposition(g: Mat) -> Tuple[Mat, Mat, Mat]:
+    """g = u * t * k: u lower unitriangular (the decomposition adapted to
+    the descending flag), t diagonal, k in GL_n(Z_p)."""
     ctx = g.ctx
-    if not lower:
-        J = ctx.reversal
-        u, t, k = iwasawa_decomposition(J * g * J, lower=True)
-        return J * u * J, J * t * J, J * k * J
     n = g.n
     A = [list(r) for r in g.rows]
     k = [list(r) for r in ctx.identity.rows]

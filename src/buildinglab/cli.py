@@ -391,7 +391,7 @@ def _run_decompositions(cfg: ExperimentConfig, rng: random.Random):
             k1, exps, k2 = cartan_decomposition(g)
             r = _residual_floor(k1 * ctx.diag(exps), k2, g)[0] - base
             stats["cartan_min"] = min(stats["cartan_min"], r)
-            u, t, k = iwasawa_decomposition(g, lower=True)
+            u, t, k = iwasawa_decomposition(g)
             r2 = _residual_floor(u * t, k, g)[0] - base
             stats["iwasawa_min"] = min(stats["iwasawa_min"], r2)
             if r < floor or r2 < floor:

@@ -121,7 +121,7 @@ def test_2_decomposition_roundtrips():
             base = g.min_val_floor()
             k1, exps, k2 = cartan_decomposition(g)
             worst_c = min(worst_c, mat_agreement(k1 * ctx.diag(exps) * k2, g) - base)
-            u, t, k = iwasawa_decomposition(g, lower=True)
+            u, t, k = iwasawa_decomposition(g)
             worst_i = min(worst_i, mat_agreement(u * t * k, g) - base)
             sigma = list(range(n))
             rng.shuffle(sigma)

@@ -351,21 +351,19 @@ def test_cartan_exponents_invariant_under_permutations():
     assert cases == 640
 
 
-def test_iwasawa_decomposition_both_sides():
+def test_iwasawa_decomposition_is_lower_unitriangular():
     for ctx, rng in draws(7, 60):
         g = ctx.random_element(rng)
-        for lower in (True, False):
-            u, t, k = iwasawa_decomposition(g, lower=lower)
-            assert is_integral_unit_det(k)
-            for i in range(ctx.n):
-                assert u[i, i].unit == 1 and u[i, i].v == 0
-                for j in range(ctx.n):
-                    above = i < j if lower else i > j
-                    if above:
-                        assert u[i, j].is_zeroish()
-                    if i != j:
-                        assert t[i, j].is_zeroish()
-            assert_recomposes(u * t * k, g)
+        u, t, k = iwasawa_decomposition(g)
+        assert is_integral_unit_det(k)
+        for i in range(ctx.n):
+            assert u[i, i].unit == 1 and u[i, i].v == 0
+            for j in range(ctx.n):
+                if i < j:
+                    assert u[i, j].is_zeroish()
+                if i != j:
+                    assert t[i, j].is_zeroish()
+        assert_recomposes(u * t * k, g)
 
 
 def test_cartan_factors_stay_within_working_precision():

@@ -179,6 +179,21 @@ def test_no_global_statement_in_the_package():
     assert found == []
 
 
+def test_every_elimination_step_goes_through_the_skip_rule():
+    """In the package, ``_sub_row`` and ``_sub_col`` are only handed to
+    ``building._clear`` as its step, so no loop makes a row or column step
+    with a skip test of its own and the skip rule is written once."""
+    found = []
+    for path in sorted(_REPO.glob("src/buildinglab/*.py")):
+        tree = ast.parse(path.read_text())
+        handed = {id(node.args[0]) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_clear"}
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in ("_sub_row", "_sub_col")
+                  and id(node) not in handed]
+    assert found == []
+
+
 # -- reach guards --------------------------------------------------------------
 # Both match by name: `x.agreement` reaches every method called `agreement`,
 # and `f(a, depth=1)` passes `depth` to every callable called `f`.  A method
